@@ -112,20 +112,18 @@ def augment_rep_trajectory(traj: FuncRepTrajectory, transform: SpatialTransform,
     return FuncRepTrajectory(tuple(frames))
 
 
-def grid_transforms(anchors, n: int, extent: float, seed: int = 0) -> list[AnchoredTransform]:
+def grid_transforms(anchors, n: int, extent: float) -> list[AnchoredTransform]:
     """Pure-translation transforms on an n x n tabletop grid around each anchor.
 
     Anchors are displacements relative to the demo's original object position
     (the zero vector reproduces it). Grid offsets span [-extent, +extent] in x
-    and y exactly; n = 1 uses offset zero. The grid is regular, so `seed` is
-    recorded for provenance only.
+    and y exactly; n = 1 uses offset zero.
     """
     if n < 1:
         raise ValidationError(f"grid side must be at least 1, got {n}")
     if extent <= 0:
         raise ValidationError(f"grid extent must be positive, got {extent}")
     offsets = np.array([0.0]) if n == 1 else np.linspace(-extent, extent, n)
-    del seed
     out: list[AnchoredTransform] = []
     for a, anchor in enumerate(np.asarray(anchors, dtype=float).reshape(-1, 3)):
         for i, dx in enumerate(offsets):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
 import json
 import shutil
 import sys
@@ -28,7 +27,8 @@ from .chamfer import MetricConfig, _matches
 from .dataset import (DatasetIndex, IndexEntry, read_demonstration, read_index,
                       write_demonstration, write_index)
 from .errors import XembodyError
-from .funcrep import FunctionalTemplate, build_template, eval_template, template_trajectory
+from .funcrep import (FunctionalTemplate, _subseed, build_template, eval_template,
+                      template_trajectory)
 from .robot import Embodiment, load_embodiment
 from .synth import Demonstration, SynthConfig, synthesize_demonstration
 
@@ -55,11 +55,6 @@ class RunManifest:
     eis_samples: int = 0  # 0 disables elite initialization
     eis_fraction: float = 0.10
     report_path: str | None = None
-
-
-def _subseed(seed: int, role: str) -> int:
-    digest = hashlib.blake2b(f"{seed}:{role}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
 
 
 def load_run_manifest(args: argparse.Namespace) -> RunManifest:
@@ -153,49 +148,32 @@ def load_run_manifest(args: argparse.Namespace) -> RunManifest:
     )
 
 
-def _load_pair(manifest: RunManifest):
-    source = load_embodiment(manifest.source_description, manifest.source_manifest)
-    target = load_embodiment(manifest.target_description, manifest.target_manifest)
-    template_seed = manifest.template_seed
-    if template_seed is None:
-        template_seed = _subseed(manifest.seed, "template")
-    source_template = build_template(source, source.pad_links, manifest.points_per_link,
-                                     template_seed, manifest.template_variant)
-    target_template = build_template(target, target.pad_links, manifest.points_per_link,
-                                     template_seed, manifest.template_variant)
-    return source, target, source_template, target_template
-
-
 @dataclass
 class _DemoTask:
     """One unit of work: everything a worker needs, picklable."""
 
-    demo_id: str
+    out_id: str
     demo_path: str
+    checksum: str  # recorded in the input index; verified before decoding
     out_path: str
+    manifest: RunManifest
     source: Embodiment
     target: Embodiment
     source_template: FunctionalTemplate
     target_template: FunctionalTemplate
-    alignment: AlignmentConfig
-    synthesis: SynthConfig
-    seed: int
-    eis_samples: int
-    eis_fraction: float
     transform: AnchoredTransform | None = None  # set for augment runs
     growth_knee: float = 0.8
     object_box: tuple | None = None
-    out_id: str | None = None
 
 
 def _run_demo_task(task: _DemoTask) -> dict:
     started = time.perf_counter()
-    out_id = task.out_id or task.demo_id
-    result = {"id": out_id, "ok": False, "length": 0, "wall_clock_s": 0.0,
+    manifest = task.manifest
+    result = {"id": task.out_id, "ok": False, "length": 0, "wall_clock_s": 0.0,
               "align_s": 0.0, "synth_s": 0.0, "steps": [], "loss": [], "dcd": [],
               "early_stopped": [], "error": None, "checksum": None, "embodiment": None}
     try:
-        demo = read_demonstration(task.demo_path)
+        demo = read_demonstration(task.demo_path, task.checksum)
         configs = task.source.configuration_from_split(demo.arm_positions,
                                                        demo.ee_positions)
         rep_traj = template_trajectory(task.source, task.source_template, configs)
@@ -207,28 +185,27 @@ def _run_demo_task(task: _DemoTask) -> dict:
             for t, cloud in enumerate(demo.clouds):
                 growth = clipped_growth(t, len(demo), task.growth_knee)
                 if task.object_box is not None:
-                    lo = np.asarray(task.object_box[0], dtype=float)
-                    hi = np.asarray(task.object_box[1], dtype=float)
+                    lo, hi = task.object_box
                     mask = np.all((cloud.points >= lo) & (cloud.points <= hi), axis=1)
                 else:
                     mask = np.zeros(len(cloud), dtype=bool)
                 clouds.append(augment_scene_cloud(cloud, mask, task.transform.transform, growth))
-            demo = replace_clouds(demo, clouds)
+            demo = replace(demo, clouds=tuple(clouds))
 
         align_started = time.perf_counter()
-        if task.eis_samples > 0:
+        if manifest.eis_samples > 0:
             q0 = eis_initialize(task.target, task.target_template, rep_traj[0],
-                                task.eis_samples, task.eis_fraction,
-                                _subseed(task.seed, f"eis:{out_id}"), task.alignment)
+                                manifest.eis_samples, manifest.eis_fraction,
+                                _subseed(manifest.seed, f"eis:{task.out_id}"),
+                                manifest.alignment)
         else:
             q0 = None
         aligned = align_trajectory(rep_traj, task.target, task.target_template, q0,
-                                   task.alignment)
+                                   manifest.alignment)
         align_done = time.perf_counter()
 
-        synth_cfg = replace(task.synthesis, seed=task.seed)
         out_demo = synthesize_demonstration(demo, task.source, task.target, aligned,
-                                            synth_cfg, demo_id=out_id)
+                                            manifest.synthesis, demo_id=task.out_id)
         checksum = write_demonstration(out_demo, task.out_path)
         done = time.perf_counter()
         result.update(
@@ -246,26 +223,6 @@ def _run_demo_task(task: _DemoTask) -> dict:
         shutil.rmtree(task.out_path, ignore_errors=True)
     result["wall_clock_s"] = time.perf_counter() - started
     return result
-
-
-def replace_clouds(demo: Demonstration, clouds) -> Demonstration:
-    return Demonstration(
-        embodiment=demo.embodiment,
-        clouds=tuple(clouds),
-        arm_positions=demo.arm_positions,
-        ee_positions=demo.ee_positions,
-        arm_targets=demo.arm_targets,
-        ee_targets=demo.ee_targets,
-        initial_state=demo.initial_state,
-        seed=demo.seed,
-    )
-
-
-def _execute_tasks(tasks: list[_DemoTask], workers: int) -> list[dict]:
-    if workers <= 1 or len(tasks) <= 1:
-        return [_run_demo_task(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_demo_task, tasks))
 
 
 def _finish_run(command: str, manifest: RunManifest, results: list[dict],
@@ -310,76 +267,55 @@ def _finish_run(command: str, manifest: RunManifest, results: list[dict],
     return 1 if failed else 0
 
 
-def cmd_retarget(args: argparse.Namespace) -> int:
+def _run(command: str, args: argparse.Namespace, transforms, **augment) -> int:
+    """Convert every input demo once per transform; `None` keeps the demo as is."""
     started = time.perf_counter()
     manifest = load_run_manifest(args)
     if not manifest.input_path:
         raise XembodyError("--input is required (flag or manifest)")
-    source, target, source_template, target_template = _load_pair(manifest)
+    source = load_embodiment(manifest.source_description, manifest.source_manifest)
+    target = load_embodiment(manifest.target_description, manifest.target_manifest)
+    template_seed = manifest.template_seed
+    if template_seed is None:
+        template_seed = _subseed(manifest.seed, "template")
+    source_template = build_template(source, source.pad_links, manifest.points_per_link,
+                                     template_seed, manifest.template_variant)
+    target_template = build_template(target, target.pad_links, manifest.points_per_link,
+                                     template_seed, manifest.template_variant)
     in_dir = Path(manifest.input_path)
     index = read_index(in_dir)
     if len(index) == 0:
         warnings.warn(f"input dataset {in_dir} is empty")
-        return _finish_run("retarget", manifest, [], started)
-
-    tasks = [
-        _DemoTask(
-            demo_id=e.demo_id,
-            demo_path=str(in_dir / e.path),
-            out_path=str(Path(manifest.output_path) / e.demo_id),
-            source=source, target=target,
-            source_template=source_template, target_template=target_template,
-            alignment=manifest.alignment, synthesis=manifest.synthesis,
-            seed=manifest.seed, eis_samples=manifest.eis_samples,
-            eis_fraction=manifest.eis_fraction,
-        )
-        for e in index.entries
-    ]
-    results = _execute_tasks(tasks, manifest.workers)
-    return _finish_run("retarget", manifest, results, started)
-
-
-def cmd_augment(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    manifest = load_run_manifest(args)
-    if not manifest.input_path:
-        raise XembodyError("--input is required (flag or manifest)")
-    source, target, source_template, target_template = _load_pair(manifest)
-    anchors_doc = json.loads(Path(args.anchors_file).read_text())
-    anchors = np.asarray(anchors_doc["anchors"], dtype=float)
-    object_box = None
-    if anchors_doc.get("object_box") is not None:
-        object_box = (tuple(anchors_doc["object_box"]["min"]),
-                      tuple(anchors_doc["object_box"]["max"]))
-    transforms = grid_transforms(anchors, args.grid_n, args.grid_range,
-                                 _subseed(manifest.seed, "grid"))
-
-    in_dir = Path(manifest.input_path)
-    index = read_index(in_dir)
-    if len(index) == 0:
-        warnings.warn(f"input dataset {in_dir} is empty")
-        return _finish_run("augment", manifest, [], started)
 
     tasks = []
     for e in index.entries:
         for t in transforms:
-            out_id = f"{e.demo_id}-a{t.anchor_index:02d}g{t.grid_i:02d}x{t.grid_j:02d}"
-            tasks.append(
-                _DemoTask(
-                    demo_id=e.demo_id,
-                    demo_path=str(in_dir / e.path),
-                    out_path=str(Path(manifest.output_path) / out_id),
-                    source=source, target=target,
-                    source_template=source_template, target_template=target_template,
-                    alignment=manifest.alignment, synthesis=manifest.synthesis,
-                    seed=manifest.seed, eis_samples=manifest.eis_samples,
-                    eis_fraction=manifest.eis_fraction,
-                    transform=t, growth_knee=args.growth_knee,
-                    object_box=object_box, out_id=out_id,
-                )
-            )
-    results = _execute_tasks(tasks, manifest.workers)
-    return _finish_run("augment", manifest, results, started)
+            out_id = e.demo_id if t is None else \
+                f"{e.demo_id}-a{t.anchor_index:02d}g{t.grid_i:02d}x{t.grid_j:02d}"
+            tasks.append(_DemoTask(
+                out_id=out_id, demo_path=str(in_dir / e.path), checksum=e.checksum,
+                out_path=str(Path(manifest.output_path) / out_id), manifest=manifest,
+                source=source, target=target,
+                source_template=source_template, target_template=target_template,
+                transform=t, **augment,
+            ))
+    if manifest.workers <= 1 or len(tasks) <= 1:
+        results = [_run_demo_task(t) for t in tasks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=manifest.workers) as pool:
+            results = list(pool.map(_run_demo_task, tasks))
+    return _finish_run(command, manifest, results, started)
+
+
+def cmd_augment(args: argparse.Namespace) -> int:
+    anchors_doc = json.loads(Path(args.anchors_file).read_text())
+    anchors = np.asarray(anchors_doc["anchors"], dtype=float)
+    object_box = None
+    if anchors_doc.get("object_box") is not None:
+        object_box = (np.asarray(anchors_doc["object_box"]["min"], dtype=float),
+                      np.asarray(anchors_doc["object_box"]["max"], dtype=float))
+    return _run("augment", args, grid_transforms(anchors, args.grid_n, args.grid_range),
+                growth_knee=args.growth_knee, object_box=object_box)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -572,7 +508,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "retarget":
-            return cmd_retarget(args)
+            return _run("retarget", args, [None])
         if args.command == "augment":
             return cmd_augment(args)
         if args.command == "validate":

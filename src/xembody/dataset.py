@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ChecksumError, DatasetFormatError
 from .robot import Embodiment
-from .synth import Demonstration, PointCloud, crop_workspace
+from .synth import Demonstration, PointCloud, crop_workspace, generate_actions
 
 DEMO_FORMAT = "xembody-demo"
 INDEX_FORMAT = "xembody-dataset"
@@ -56,11 +56,21 @@ class DatasetIndex:
         return len(self.entries)
 
 
-def _demo_checksum(frame_dir: Path, length: int) -> str:
+def _checksum(blocks) -> str:
     digest = hashlib.blake2b(digest_size=8)
-    for t in range(length):
-        digest.update((frame_dir / f"{t:06d}.bin").read_bytes())
+    for block in blocks:
+        digest.update(block)
     return digest.hexdigest()
+
+
+def _load_json_object(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as err:  # undecodable bytes or malformed JSON
+        raise DatasetFormatError(f"{path}: not valid JSON ({err})") from err
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{path}: expected a JSON object")
+    return doc
 
 
 def write_demonstration(demo: Demonstration, path: str | Path) -> str:
@@ -70,6 +80,7 @@ def write_demonstration(demo: Demonstration, path: str | Path) -> str:
     frame_dir.mkdir(parents=True, exist_ok=True)
     length = len(demo)
     point_counts = []
+    blocks = []
     for t in range(length):
         points = demo.clouds[t].points.astype("<f4")
         proprio = demo.proprioception(t).astype("<f4")
@@ -77,6 +88,7 @@ def write_demonstration(demo: Demonstration, path: str | Path) -> str:
         block = b"".join([points.tobytes(), proprio.tobytes(), action.tobytes()])
         (frame_dir / f"{t:06d}.bin").write_bytes(block)
         point_counts.append(len(points))
+        blocks.append(block)
 
     manifest = {
         "format": DEMO_FORMAT,
@@ -91,16 +103,20 @@ def write_demonstration(demo: Demonstration, path: str | Path) -> str:
         "seed": demo.seed,
     }
     (path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    return _demo_checksum(frame_dir, length)
+    return _checksum(blocks)
 
 
 def read_demonstration(path: str | Path, expected_checksum: str | None = None) -> Demonstration:
-    """Read and validate one demonstration directory."""
+    """Read and validate one demonstration directory.
+
+    Each frame file is read once. With `expected_checksum`, the bytes are
+    verified before any of them is decoded.
+    """
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise DatasetFormatError(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _load_json_object(manifest_path)
     if manifest.get("format") != DEMO_FORMAT:
         raise DatasetFormatError(
             f"{path}: expected format {DEMO_FORMAT!r}, got {manifest.get('format')!r}"
@@ -109,30 +125,35 @@ def read_demonstration(path: str | Path, expected_checksum: str | None = None) -
         raise DatasetFormatError(
             f"{path}: unsupported byte order {manifest.get('byte_order')!r}"
         )
-    length = int(manifest["length"])
-    arm_dof = int(manifest["arm_dof"])
-    ee_dof = int(manifest["ee_dof"])
-    point_counts = manifest["point_counts"]
+    try:
+        embodiment = str(manifest["embodiment"])
+        length = int(manifest["length"])
+        arm_dof = int(manifest["arm_dof"])
+        ee_dof = int(manifest["ee_dof"])
+        point_counts = [int(m) for m in manifest["point_counts"]]
+        seed = int(manifest.get("seed", 0))
+    except (KeyError, TypeError, ValueError) as err:
+        raise DatasetFormatError(f"{path}: manifest field missing or malformed: {err!r}") from err
     if len(point_counts) != length:
         raise DatasetFormatError(f"{path}: point_counts has {len(point_counts)} entries, "
                                  f"length is {length}")
 
-    frame_dir = path / "frames"
+    blocks = []
+    for t in range(length):
+        block_path = path / "frames" / f"{t:06d}.bin"
+        if not block_path.exists():
+            raise DatasetFormatError(f"{path}: missing frame block {block_path.name}")
+        blocks.append(block_path.read_bytes())
     if expected_checksum is not None:
-        actual = _demo_checksum(frame_dir, length)
+        actual = _checksum(blocks)
         if actual != expected_checksum:
             raise ChecksumError(f"{path}: checksum {actual} != recorded {expected_checksum}")
 
     clouds = []
-    proprios = np.empty((length, arm_dof + ee_dof))
-    actions = np.empty((length, arm_dof + ee_dof))
     dof = arm_dof + ee_dof
-    for t in range(length):
-        block_path = frame_dir / f"{t:06d}.bin"
-        if not block_path.exists():
-            raise DatasetFormatError(f"{path}: missing frame block {block_path.name}")
-        raw = block_path.read_bytes()
-        m = int(point_counts[t])
+    proprios = np.empty((length, dof))
+    actions = np.empty((length, dof))
+    for t, (raw, m) in enumerate(zip(blocks, point_counts)):
         expected_floats = 3 * m + 2 * dof
         if len(raw) != 4 * expected_floats:
             raise DatasetFormatError(
@@ -144,14 +165,14 @@ def read_demonstration(path: str | Path, expected_checksum: str | None = None) -
         actions[t] = flat[3 * m + dof :]
 
     return Demonstration(
-        embodiment=manifest["embodiment"],
+        embodiment=embodiment,
         clouds=tuple(clouds),
         arm_positions=proprios[:, :arm_dof],
         ee_positions=proprios[:, arm_dof:],
         arm_targets=actions[:, :arm_dof],
         ee_targets=actions[:, arm_dof:],
         initial_state=manifest.get("initial_state", {}),
-        seed=int(manifest.get("seed", 0)),
+        seed=seed,
     )
 
 
@@ -177,7 +198,7 @@ def read_index(dataset_dir: str | Path) -> DatasetIndex:
     index_path = Path(dataset_dir) / "index.json"
     if not index_path.exists():
         raise DatasetFormatError(f"no index.json in {dataset_dir}")
-    doc = json.loads(index_path.read_text())
+    doc = _load_json_object(index_path)
     if doc.get("format") != INDEX_FORMAT:
         raise DatasetFormatError(f"{index_path}: not a dataset index")
     return DatasetIndex(tuple(
@@ -233,7 +254,7 @@ def ingest_recorded_log(log_path: str | Path, e: Embodiment, workspace_box) -> D
         crop_workspace(PointCloud(np.asarray(data[f"cloud_{t:06d}"], dtype=float)), workspace_box)
         for t in range(length)
     )
-    targets = np.vstack([joints[1:], joints[-1:]])
+    arm_targets, ee_targets = generate_actions(joints, e)
     arm = np.array(e.arm_indices, dtype=np.int64)
     ee = np.array(e.ee_indices, dtype=np.int64)
     initial_state = {}
@@ -244,7 +265,7 @@ def ingest_recorded_log(log_path: str | Path, e: Embodiment, workspace_box) -> D
         clouds=clouds,
         arm_positions=joints[:, arm],
         ee_positions=joints[:, ee],
-        arm_targets=targets[:, arm],
-        ee_targets=targets[:, ee],
+        arm_targets=arm_targets,
+        ee_targets=ee_targets,
         initial_state=initial_state,
     )

@@ -151,7 +151,7 @@ def build_template(
     points: list[np.ndarray] = []
     normals: list[np.ndarray] = []
     for link_name in pad_links:
-        p, n = sample_link_surface(e, link_name, count_per_link, _pad_seed(seed, link_name))
+        p, n = sample_link_surface(e, link_name, count_per_link, _subseed(seed, link_name))
         if variant == "reduced":
             centroid = e.link(link_name).mesh.area_centroid()
             keep = np.linalg.norm(p - centroid, axis=1) <= reduced_radius
@@ -185,10 +185,10 @@ def build_template(
     )
 
 
-def _pad_seed(seed: int, link_name: str) -> int:
-    # Stable per-link stream so the same pad yields the same sample regardless
-    # of how many other pads precede it.
-    digest = hashlib.blake2b(f"{seed}:{link_name}".encode(), digest_size=8).digest()
+def _subseed(seed: int, role: str) -> int:
+    # One stable stream per named role (a pad link, a synthesis stage, a frame),
+    # independent of how many other streams were drawn before it.
+    digest = hashlib.blake2b(f"{seed}:{role}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

@@ -41,9 +41,7 @@ class TriMesh:
         return self.vertices[self.faces]
 
     def face_areas(self) -> np.ndarray:
-        tri = self.triangles
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        return 0.5 * np.linalg.norm(cross, axis=1)
+        return triangle_areas(self.triangles)
 
     def face_normals(self) -> np.ndarray:
         """Unit normals following the authored winding. Degenerate faces get zeros."""
@@ -118,6 +116,34 @@ def outward_face_normals(mesh: TriMesh) -> np.ndarray:
     return normals
 
 
+def triangle_areas(triangles: np.ndarray) -> np.ndarray:
+    """Areas of (F, 3, 3) triangles."""
+    cross = np.cross(triangles[:, 1] - triangles[:, 0], triangles[:, 2] - triangles[:, 0])
+    return 0.5 * np.linalg.norm(cross, axis=1)
+
+
+def sample_triangles(triangles: np.ndarray, count: int, rng: np.random.Generator):
+    """Draw `count` area-weighted uniform samples from (F, 3, 3) triangles.
+
+    Returns (points, face_indices); each point is the barycentric combination
+    of its face's corners.
+    """
+    areas = triangle_areas(triangles)
+    total = areas.sum()
+    if total <= 0:
+        raise ValidationError("surface has zero area")
+    face_idx = rng.choice(len(areas), size=count, p=areas / total)
+    # Uniform barycentric coordinates via the square-root trick.
+    r1 = np.sqrt(rng.random(count))
+    r2 = rng.random(count)
+    a = 1.0 - r1
+    b = r1 * (1.0 - r2)
+    c = r1 * r2
+    tri = triangles[face_idx]
+    points = a[:, None] * tri[:, 0] + b[:, None] * tri[:, 1] + c[:, None] * tri[:, 2]
+    return points, face_idx
+
+
 def sample_surface(mesh: TriMesh, count: int, rng: np.random.Generator):
     """Draw `count` area-weighted uniform samples from the mesh surface.
 
@@ -127,21 +153,8 @@ def sample_surface(mesh: TriMesh, count: int, rng: np.random.Generator):
     """
     if count < 1:
         raise ValidationError(f"sample count must be >= 1, got {count}")
-    areas = mesh.face_areas()
-    total = areas.sum()
-    if total <= 0:
-        raise ValidationError("mesh has zero surface area")
-    face_idx = rng.choice(len(areas), size=count, p=areas / total)
-    # Uniform barycentric coordinates via the square-root trick.
-    r1 = np.sqrt(rng.random(count))
-    r2 = rng.random(count)
-    a = 1.0 - r1
-    b = r1 * (1.0 - r2)
-    c = r1 * r2
-    tri = mesh.triangles[face_idx]
-    points = a[:, None] * tri[:, 0] + b[:, None] * tri[:, 1] + c[:, None] * tri[:, 2]
-    normals = outward_face_normals(mesh)[face_idx]
-    return points, normals, face_idx
+    points, face_idx = sample_triangles(mesh.triangles, count, rng)
+    return points, outward_face_normals(mesh)[face_idx], face_idx
 
 
 def load_obj(text: str) -> TriMesh:

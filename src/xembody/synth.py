@@ -9,7 +9,6 @@ size. All per-frame randomness derives from hash(global seed, demo id, frame).
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,19 +17,16 @@ from scipy.spatial import cKDTree
 
 from .align import AlignedTrajectory
 from .errors import ValidationError
+from .funcrep import _subseed
 from .kinematics import forward_kinematics
+from .mesh import sample_triangles
 from .robot import Embodiment
-
-try:  # optional JIT for the farthest-point loop; the numpy path is identical
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover
-    _njit = None
 
 TAG_SCENE = 0
 TAG_ROBOT = 1
 
 
-def _fps_indices_numpy(points: np.ndarray, n: int, start: int) -> np.ndarray:
+def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
     selected = np.empty(n, dtype=np.int64)
     selected[0] = start
     diff = points - points[start]
@@ -41,47 +37,6 @@ def _fps_indices_numpy(points: np.ndarray, n: int, start: int) -> np.ndarray:
         diff = points - points[pick]
         np.minimum(dist, np.einsum("mk,mk->m", diff, diff), out=dist)
     return selected
-
-
-if _njit is not None:
-    @_njit(cache=True)
-    def _fps_indices_jit(points, n, start):  # pragma: no cover - exercised via wrapper
-        m = points.shape[0]
-        selected = np.empty(n, dtype=np.int64)
-        dist = np.empty(m)
-        for i in range(m):
-            dx = points[i, 0] - points[start, 0]
-            dy = points[i, 1] - points[start, 1]
-            dz = points[i, 2] - points[start, 2]
-            dist[i] = (dx * dx + dy * dy) + dz * dz
-        selected[0] = start
-        for k in range(1, n):
-            pick = 0
-            best = dist[0]
-            for i in range(1, m):
-                if dist[i] > best:
-                    best = dist[i]
-                    pick = i
-            selected[k] = pick
-            for i in range(m):
-                dx = points[i, 0] - points[pick, 0]
-                dy = points[i, 1] - points[pick, 1]
-                dz = points[i, 2] - points[pick, 2]
-                d = (dx * dx + dy * dy) + dz * dz
-                if d < dist[i]:
-                    dist[i] = d
-        return selected
-else:  # pragma: no cover
-    _fps_indices_jit = None
-
-
-def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
-    # Both paths compute squared distances with the same operation order, so
-    # they agree bitwise (asserted by tests); determinism does not depend on
-    # whether numba is installed.
-    if _fps_indices_jit is not None:
-        return _fps_indices_jit(np.ascontiguousarray(points), n, start)
-    return _fps_indices_numpy(points, n, start)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,15 +126,7 @@ class SynthConfig:
 
 def derive_frame_seed(global_seed: int, demo_id: str, frame_index: int) -> int:
     """Stable per-frame seed; independent of processing order and worker count."""
-    digest = hashlib.blake2b(
-        f"{global_seed}:{demo_id}:{frame_index}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
-
-
-def _subseed(seed: int, role: str) -> int:
-    digest = hashlib.blake2b(f"{seed}:{role}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return _subseed(global_seed, f"{demo_id}:{frame_index}")
 
 
 def generate_actions(aligned: AlignedTrajectory | np.ndarray, e: Embodiment):
@@ -232,29 +179,19 @@ def sample_robot_cloud(e: Embodiment, q: np.ndarray, count: int, seed: int) -> P
     if not meshed:
         raise ValidationError(f"embodiment {e.name!r} has no link geometry to sample")
 
-    areas = [e.links[i].mesh.face_areas() for i in meshed]
-    weights = np.concatenate(areas)
-    total = weights.sum()
-    if total <= 0:
-        raise ValidationError(f"embodiment {e.name!r} has zero total surface area")
-    rng = np.random.default_rng(seed)
-    face_choice = rng.choice(len(weights), size=count, p=weights / total)
-    r1 = np.sqrt(rng.random(count))
-    r2 = rng.random(count)
-    bary = np.stack([1.0 - r1, r1 * (1.0 - r2), r1 * r2], axis=1)
+    local, face_choice = sample_triangles(
+        np.concatenate([e.links[i].mesh.triangles for i in meshed]), count,
+        np.random.default_rng(seed))
 
-    # Map the flat face index back to (link, local face).
-    offsets = np.cumsum([0] + [len(a) for a in areas])
+    # Map the flat face index back to its link, then pose that link's samples.
+    offsets = np.cumsum([0] + [len(e.links[i].mesh.faces) for i in meshed])
     points = np.empty((count, 3))
     for slot, i in enumerate(meshed):
         in_link = (face_choice >= offsets[slot]) & (face_choice < offsets[slot + 1])
         if not np.any(in_link):
             continue
-        local_faces = face_choice[in_link] - offsets[slot]
-        tri = e.links[i].mesh.triangles[local_faces]
-        local = np.einsum("nk,nkj->nj", bary[in_link], tri)
         r, t = poses.pose_of(i)
-        points[in_link] = local @ r.T + t
+        points[in_link] = local[in_link] @ r.T + t
     return PointCloud(points, np.full(count, TAG_ROBOT, dtype=np.uint8))
 
 

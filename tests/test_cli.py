@@ -91,6 +91,23 @@ def test_retarget_isolates_corrupt_demos(tmp_path, robot_files, source_dataset):
     read_demonstration(out / "demo1", index.entries[0].checksum)
 
 
+def test_retarget_rejects_same_size_corruption(tmp_path, robot_files, source_dataset):
+    # A flipped byte keeps every size right, so only the index checksum catches it.
+    src, tgt = robot_files
+    block = source_dataset / "demo0" / "frames" / "000001.bin"
+    raw = bytearray(block.read_bytes())
+    raw[5] ^= 0x01
+    block.write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    assert main(retarget_args(src, tgt, source_dataset, out)) == 1
+    report = json.loads(Path(str(out) + ".report.json").read_text())
+    by_id = {d["id"]: d for d in report["demos"]}
+    assert by_id["demo0"]["error"].startswith("ChecksumError")
+    assert by_id["demo1"]["ok"]
+    assert not (out / "demo0").exists()
+    assert [e.demo_id for e in read_index(out).entries] == ["demo1"]
+
+
 def test_retarget_deterministic_across_worker_counts(tmp_path, robot_files, source_dataset):
     src, tgt = robot_files
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -182,6 +199,25 @@ def test_validate_finds_truncation(tmp_path, robot_files, source_dataset, capsys
     report = json.loads(capsys.readouterr().out)
     assert any("bytes" in f["finding"] or "checksum" in f["finding"].lower()
                for f in report["findings"])
+
+
+def _drop_length(manifest: Path) -> None:
+    doc = json.loads(manifest.read_text())
+    del doc["length"]
+    manifest.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda demo: (demo / "frames" / "000001.bin").unlink(),
+    lambda demo: (demo / "manifest.json").write_bytes((demo / "manifest.json").read_bytes()[:40]),
+    lambda demo: _drop_length(demo / "manifest.json"),
+], ids=["missing-frame", "cut-manifest", "no-length"])
+def test_validate_reports_damaged_demo(source_dataset, damage, capsys):
+    damage(source_dataset / "demo0")
+    assert main(["validate", str(source_dataset)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["demos_checked"] == 2
+    assert [f["demo"] for f in report["findings"]] == ["demo0"]
 
 
 def test_validate_finds_limit_violation(tmp_path, gripper1, robot_files, capsys):

@@ -1,10 +1,15 @@
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from xembody import (ChecksumError, DatasetFormatError, PointCloud, crop_workspace,
+from xembody import (ChecksumError, DatasetError, DatasetFormatError, PointCloud, crop_workspace,
                      ingest_recorded_log, read_demonstration, read_index,
                      write_demonstration, write_dataset)
 from xembody.dataset import DatasetIndex, IndexEntry, write_index
@@ -90,6 +95,46 @@ def test_checksum_detects_single_byte_corruption(tmp_path, gripper1):
     block.write_bytes(bytes(raw))
     with pytest.raises(ChecksumError):
         read_demonstration(tmp_path / "d", checksum)
+
+
+@pytest.fixture(scope="module")
+def pristine_demo(tmp_path_factory, gripper1):
+    path = tmp_path_factory.mktemp("pristine") / "d"
+    checksum = write_demonstration(small_demo(gripper1), path)
+    return path, checksum
+
+
+FRAME = st.integers(0, 3)  # small_demo has four frames
+DAMAGE = st.one_of(
+    st.tuples(st.just("flip"), FRAME, st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), FRAME, st.integers(0, 10**6)),
+    st.tuples(st.just("extend"), FRAME, st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("manifest-prefix"), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(damage=DAMAGE)
+def test_any_damage_raises_a_dataset_error(pristine_demo, damage):
+    source, checksum = pristine_demo
+    with tempfile.TemporaryDirectory() as tmp:
+        demo = Path(tmp) / "d"
+        shutil.copytree(source, demo)
+        kind = damage[0]
+        target = demo / "manifest.json" if kind == "manifest-prefix" \
+            else demo / "frames" / f"{damage[1]:06d}.bin"
+        raw = bytearray(target.read_bytes())
+        if kind == "flip":
+            raw[damage[2] % len(raw)] ^= damage[3]
+        elif kind == "truncate":
+            del raw[damage[2] % len(raw):]
+        elif kind == "extend":
+            raw += damage[2]
+        else:
+            del raw[damage[1] % len(raw):]  # any strict prefix, empty included
+        target.write_bytes(bytes(raw))
+        with pytest.raises(DatasetError):
+            read_demonstration(demo, checksum)
 
 
 def test_dataset_index_round_trip(tmp_path, gripper1):

@@ -4,7 +4,7 @@ import pytest
 import helpers
 from xembody import (AlignedTrajectory, PointCloud, SynthConfig, ValidationError,
                      align_trajectory, build_template, crop_workspace, fps_downsample,
-                     generate_actions, mask_robot_points, sample_robot_cloud,
+                     generate_actions, mask_robot_points, sample_robot_cloud, sample_surface,
                      synthesize_demonstration, synthesize_observation, template_trajectory)
 from xembody.align import FrameDiagnostics
 from xembody.synth import TAG_ROBOT, TAG_SCENE, derive_frame_seed
@@ -89,14 +89,16 @@ def test_mask_requires_robot_points():
 def test_robot_cloud_on_box_surface():
     from xembody.robot import EmbodimentManifest, LinkSpec, build_embodiment
 
-    e = build_embodiment("boxbot", [LinkSpec("base", helpers.box_mesh((0.5, 0.5, 0.5)))],
-                         [], EmbodimentManifest())
+    mesh = helpers.box_mesh((0.5, 0.5, 0.5))
+    e = build_embodiment("boxbot", [LinkSpec("base", mesh)], [], EmbodimentManifest())
     cloud = sample_robot_cloud(e, np.zeros(0), 200, seed=0)
     assert len(cloud) == 200
     assert np.all(cloud.tags == TAG_ROBOT)
     on_face = np.isclose(np.abs(cloud.points), 0.5, atol=1e-12).any(axis=1)
     inside = np.all(np.abs(cloud.points) <= 0.5 + 1e-12, axis=1)
     assert np.all(on_face & inside)
+    # One link at the identity base pose: the robot cloud is the mesh sampler's draw.
+    assert np.array_equal(cloud.points, sample_surface(mesh, 200, np.random.default_rng(0))[0])
 
 
 def test_robot_cloud_translation_equivariance(gripper1):
@@ -173,19 +175,6 @@ def test_fps_deficit_pads_to_exact_size(rng):
 def test_fps_empty_is_an_error():
     with pytest.raises(ValidationError):
         fps_downsample(PointCloud(np.zeros((0, 3))), 4)
-
-
-def test_fps_jit_and_numpy_paths_agree_bitwise(rng):
-    from xembody.synth import _fps_indices_jit, _fps_indices_numpy
-
-    if _fps_indices_jit is None:
-        pytest.skip("numba not installed; only the numpy path exists")
-    for _ in range(5):
-        pts = rng.normal(size=(int(rng.integers(50, 400)), 3))
-        start = int(rng.integers(len(pts)))
-        n = int(rng.integers(1, len(pts) + 1))
-        assert np.array_equal(_fps_indices_numpy(pts, n, start),
-                              _fps_indices_jit(np.ascontiguousarray(pts), n, start))
 
 
 def test_observation_pipeline_size_and_tags(gripper1, hand6):
