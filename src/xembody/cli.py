@@ -24,8 +24,8 @@ from .align import AlignmentConfig, align_trajectory, eis_initialize
 from .augment import (AnchoredTransform, AugmentationSchedule, augment_rep_trajectory,
                       augment_scene_cloud, clipped_growth, grid_transforms)
 from .chamfer import MetricConfig, _matches
-from .dataset import (DatasetIndex, IndexEntry, read_demonstration, read_index,
-                      write_demonstration, write_index)
+from .dataset import (DatasetIndex, IndexEntry, _load_json_object, read_demonstration,
+                      read_index, write_demonstration, write_index)
 from .errors import XembodyError
 from .funcrep import (FunctionalTemplate, _subseed, build_template, eval_template,
                       template_trajectory)
@@ -307,13 +307,45 @@ def _run(command: str, args: argparse.Namespace, transforms, **augment) -> int:
     return _finish_run(command, manifest, results, started)
 
 
+def _read_anchors_file(path: str) -> tuple[np.ndarray, tuple | None]:
+    """Read `{"anchors": [[x, y, z], ...], "object_box": {"min": [x, y, z], "max": [x, y, z]}}`.
+
+    Returns the (K, 3) anchors and the (min, max) object box, or None when the
+    file has no box.
+    """
+    try:
+        doc = _load_json_object(Path(path))
+    except OSError as err:
+        raise XembodyError(f"cannot read anchors file: {err}") from err
+    if "anchors" not in doc:
+        raise XembodyError(f"{path}: no 'anchors' list")
+
+    def floats(value, what: str) -> np.ndarray:
+        try:
+            array = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise XembodyError(f"{path}: {what} is not numeric ({err})") from err
+        if not np.all(np.isfinite(array)):
+            raise XembodyError(f"{path}: {what} has non-finite entries")
+        return array
+
+    anchors = floats(doc["anchors"], "'anchors'")
+    if anchors.size == 0 or anchors.size % 3:
+        raise XembodyError(f"{path}: 'anchors' must hold one or more [x, y, z] points")
+    anchors = anchors.reshape(-1, 3)
+    box = doc.get("object_box")
+    if box is None:
+        return anchors, None
+    if not isinstance(box, dict) or "min" not in box or "max" not in box:
+        raise XembodyError(f"{path}: 'object_box' needs 'min' and 'max' corners")
+    lo, hi = floats(box["min"], "object_box 'min'"), floats(box["max"], "object_box 'max'")
+    if lo.shape != (3,) or hi.shape != (3,):
+        raise XembodyError(f"{path}: object_box corners must be [x, y, z] points")
+    return anchors, (lo, hi)
+
+
 def cmd_augment(args: argparse.Namespace) -> int:
-    anchors_doc = json.loads(Path(args.anchors_file).read_text())
-    anchors = np.asarray(anchors_doc["anchors"], dtype=float)
-    object_box = None
-    if anchors_doc.get("object_box") is not None:
-        object_box = (np.asarray(anchors_doc["object_box"]["min"], dtype=float),
-                      np.asarray(anchors_doc["object_box"]["max"], dtype=float))
+    anchors, object_box = _read_anchors_file(args.anchors_file)
     return _run("augment", args, grid_transforms(anchors, args.grid_n, args.grid_range),
                 growth_knee=args.growth_knee, object_box=object_box)
 

@@ -201,10 +201,27 @@ def read_index(dataset_dir: str | Path) -> DatasetIndex:
     doc = _load_json_object(index_path)
     if doc.get("format") != INDEX_FORMAT:
         raise DatasetFormatError(f"{index_path}: not a dataset index")
-    return DatasetIndex(tuple(
-        IndexEntry(d["id"], d["path"], d["embodiment"], int(d["length"]), d["checksum"])
-        for d in doc.get("demos", [])
-    ))
+    demos = doc.get("demos", [])
+    if not isinstance(demos, list):
+        raise DatasetFormatError(f"{index_path}: 'demos' is not a list")
+    return DatasetIndex(tuple(_index_entry(d, f"{index_path}: demos[{k}]")
+                              for k, d in enumerate(demos)))
+
+
+def _index_entry(d, where: str) -> IndexEntry:
+    if not isinstance(d, dict):
+        raise DatasetFormatError(f"{where} is not a JSON object")
+    where = f"{where} (id {d.get('id')!r})"
+    for key in ("id", "path", "embodiment", "length", "checksum"):
+        if key not in d:
+            raise DatasetFormatError(f"{where} has no {key!r} key")
+        if key != "length" and not isinstance(d[key], str):
+            raise DatasetFormatError(f"{where}: {key!r} is not a string")
+    try:
+        length = int(d["length"])
+    except (TypeError, ValueError) as err:
+        raise DatasetFormatError(f"{where}: malformed length ({err})") from err
+    return IndexEntry(d["id"], d["path"], d["embodiment"], length, d["checksum"])
 
 
 def write_dataset(demos: dict[str, Demonstration], dataset_dir: str | Path) -> DatasetIndex:

@@ -26,6 +26,7 @@ import json
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,12 @@ class EmbodimentManifest:
         return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class Embodiment:
     """A validated robot model: link tree, joints, limits, and manifest data.
@@ -150,11 +157,13 @@ class Embodiment:
     base_rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     base_translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    @property
+    # The joints never change after construction, so the derived values below
+    # are computed once per embodiment; the alignment loop reads them per step.
+    @cached_property
     def dof(self) -> int:
-        return sum(1 for j in self.joints if j.kind != "fixed")
+        return len(self.actuated_joints)
 
-    @property
+    @cached_property
     def actuated_joints(self) -> tuple[JointSpec, ...]:
         return tuple(j for j in self.joints if j.kind != "fixed")
 
@@ -162,13 +171,15 @@ class Embodiment:
     def actuated_joint_names(self) -> tuple[str, ...]:
         return tuple(j.name for j in self.actuated_joints)
 
-    @property
+    @cached_property
     def lower_limits(self) -> np.ndarray:
-        return np.array([j.lower for j in self.actuated_joints])
+        """Per-dof lower limits; read-only, shared by every caller."""
+        return _read_only([j.lower for j in self.actuated_joints])
 
-    @property
+    @cached_property
     def upper_limits(self) -> np.ndarray:
-        return np.array([j.upper for j in self.actuated_joints])
+        """Per-dof upper limits; read-only, shared by every caller."""
+        return _read_only([j.upper for j in self.actuated_joints])
 
     def mid_range_configuration(self) -> np.ndarray:
         return (self.lower_limits + self.upper_limits) / 2.0

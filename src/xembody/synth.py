@@ -27,15 +27,27 @@ TAG_ROBOT = 1
 
 
 def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
+    # Per-axis arrays and preallocated buffers keep each pick to a few
+    # in-place ufuncs. The squared distance is summed as (dx² + dz²) + dy²:
+    # that order reproduces np.einsum("mk,mk->m") on (M, 3) rows bit for bit,
+    # so the picks match tests/test_synth.py::_fps_indices_reference exactly.
+    x, y, z = (np.ascontiguousarray(points[:, k]) for k in range(3))
+    dist = np.full(len(x), np.inf)
+    acc = np.empty_like(dist)
+    tmp = np.empty_like(dist)
     selected = np.empty(n, dtype=np.int64)
-    selected[0] = start
-    diff = points - points[start]
-    dist = np.einsum("mk,mk->m", diff, diff)
+    selected[0] = pick = start
     for k in range(1, n):
-        pick = int(np.argmax(dist))  # first occurrence = lowest index on ties
-        selected[k] = pick
-        diff = points - points[pick]
-        np.minimum(dist, np.einsum("mk,mk->m", diff, diff), out=dist)
+        np.subtract(x, x[pick], out=acc)
+        np.multiply(acc, acc, out=acc)
+        np.subtract(z, z[pick], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.subtract(y, y[pick], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(acc, tmp, out=acc)
+        np.minimum(dist, acc, out=dist)
+        selected[k] = pick = dist.argmax()  # first occurrence = lowest index on ties
     return selected
 
 

@@ -7,7 +7,7 @@ import pytest
 import helpers
 from xembody import serialize_embodiment, write_dataset
 from xembody.cli import main
-from xembody.dataset import read_demonstration, read_index
+from xembody.dataset import INDEX_FORMAT, read_demonstration, read_index
 from xembody.synth import derive_frame_seed
 
 
@@ -174,6 +174,25 @@ def test_augment_identity_grid_preserves_count(tmp_path, robot_files, gripper1):
     assert len(read_index(out)) == 1
 
 
+@pytest.mark.parametrize("text", [
+    "{}",
+    "[[0.0, 0.0, 0.0]]",
+    '{"anchors": [[0.0, 0.0, 0.0]',
+    '{"anchors": [[0.0, 0.0, 0.0]], "object_box": {"min": [0.0, 0.0, 0.0]}}',
+], ids=["empty-object", "not-an-object", "bad-json", "box-without-max"])
+def test_augment_rejects_malformed_anchors_file(tmp_path, robot_files, source_dataset,
+                                                text, capsys):
+    src, tgt = robot_files
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(text)
+    code = main(["augment", "--source", str(src), "--target", str(tgt),
+                 "--input", str(source_dataset), "--out", str(tmp_path / "aug"),
+                 "--anchors-file", str(anchors), "--grid-n", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not (tmp_path / "aug").exists()
+
+
 def test_output_ids_never_share_frame_seeds(tmp_path, robot_files, gripper1):
     # The hash rule must give every (demo id, frame) a distinct stream.
     ids = [f"d-a{a:02d}g{i:02d}x{j:02d}" for a in range(10) for i in range(4) for j in range(4)]
@@ -218,6 +237,20 @@ def test_validate_reports_damaged_demo(source_dataset, damage, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["demos_checked"] == 2
     assert [f["demo"] for f in report["findings"]] == ["demo0"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"id": "a"},
+    {"id": "a", "path": None, "embodiment": "hand6", "length": 1, "checksum": "0"},
+], ids=["missing-key", "null-path"])
+def test_validate_reports_malformed_index_entry(tmp_path, entry, capsys):
+    (tmp_path / "index.json").write_text(json.dumps({"format": INDEX_FORMAT,
+                                                     "demos": [entry]}))
+    assert main(["validate", str(tmp_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["findings"]) == 1
+    finding = report["findings"][0]["finding"]
+    assert "demos[0]" in finding and "'a'" in finding and "'path'" in finding
 
 
 def test_validate_finds_limit_violation(tmp_path, gripper1, robot_files, capsys):

@@ -40,6 +40,18 @@ def test_parse_planar_urdf():
     assert e.links[1].parent_joint == "j1" and e.links[2].parent_joint == "j2"
 
 
+def test_cached_joint_properties_are_read_only(hand6):
+    actuated = [j for j in hand6.joints if j.kind != "fixed"]
+    assert hand6.actuated_joints == tuple(actuated)
+    assert hand6.dof == len(actuated)
+    assert np.array_equal(hand6.lower_limits, [j.lower for j in actuated])
+    assert np.array_equal(hand6.upper_limits, [j.upper for j in actuated])
+    assert hand6.lower_limits is hand6.lower_limits  # built once per embodiment
+    for limits in (hand6.lower_limits, hand6.upper_limits):
+        with pytest.raises(ValueError, match="read-only"):
+            limits[0] = 0.0
+
+
 def test_parse_rejects_inverted_limits():
     doc = PLANAR2_URDF.replace('lower="-3.141592653589793" upper="3.141592653589793"',
                                'lower="1.0" upper="0.5"', 1)

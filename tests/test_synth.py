@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from xembody import (AlignedTrajectory, PointCloud, SynthConfig, ValidationError,
@@ -7,7 +9,7 @@ from xembody import (AlignedTrajectory, PointCloud, SynthConfig, ValidationError
                      generate_actions, mask_robot_points, sample_robot_cloud, sample_surface,
                      synthesize_demonstration, synthesize_observation, template_trajectory)
 from xembody.align import FrameDiagnostics
-from xembody.synth import TAG_ROBOT, TAG_SCENE, derive_frame_seed
+from xembody.synth import TAG_ROBOT, TAG_SCENE, _fps_indices, derive_frame_seed
 
 
 def make_aligned(configs):
@@ -161,6 +163,56 @@ def test_fps_matches_greedy_oracle(rng):
         selected.append(pick)
         dist = np.minimum(dist, np.linalg.norm(pts - pts[pick], axis=1))
     assert np.array_equal(out.points, pts[selected])
+
+
+def _fps_indices_reference(points, n, start):
+    """The einsum loop `_fps_indices` replaced; it must pick the same indices."""
+    selected = np.empty(n, dtype=np.int64)
+    selected[0] = start
+    diff = points - points[start]
+    dist = np.einsum("mk,mk->m", diff, diff)
+    for k in range(1, n):
+        pick = int(np.argmax(dist))  # first occurrence = lowest index on ties
+        selected[k] = pick
+        diff = points - points[pick]
+        np.minimum(dist, np.einsum("mk,mk->m", diff, diff), out=dist)
+    return selected
+
+
+@st.composite
+def fps_cases(draw):
+    """A cloud, a target size and a start. Coarse clouds are full of duplicate
+    points and tied distances; seeded clouds reach the sizes the pipeline
+    downsamples."""
+    kind = draw(st.sampled_from(["coarse", "fine", "seeded"]))
+    if kind == "seeded":
+        m = draw(st.integers(1, 3000))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pts = rng.normal(size=(m, 3)) * draw(st.sampled_from([1e-3, 0.3, 50.0]))
+        if draw(st.booleans()):
+            pts = np.round(pts, 1)
+    else:
+        m = draw(st.integers(1, 40))
+        coord = (st.integers(-3, 3).map(lambda v: v / 10) if kind == "coarse"
+                 else st.floats(-10, 10, allow_nan=False))
+        pts = np.array(draw(st.lists(coord, min_size=3 * m, max_size=3 * m))).reshape(m, 3)
+    n = draw(st.one_of(st.just(1), st.just(m), st.integers(1, m)))
+    return pts, n, draw(st.integers(0, m - 1))
+
+
+# Points whose offsets from a pick are permutations of one another tie in exact
+# arithmetic; the summation order sets the last bit of each squared distance and
+# so breaks the tie. This cloud picks differently under (dx² + dy²) + dz².
+LAST_BIT_TIES = np.array([[-0.2, 0.3, 0.1], [0.3, 0.1, 0.2], [-0.1, 0.2, -0.3], [-0.2, -0.1, 0.1],
+                          [0.0, 0.2, 0.3], [-0.1, -0.1, 0.0], [0.1, 0.0, 0.1], [0.3, 0.2, -0.1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fps_cases())
+@example(case=(LAST_BIT_TIES, 8, 0))
+def test_fps_indices_match_einsum_reference(case):
+    pts, n, start = case
+    assert np.array_equal(_fps_indices(pts, n, start), _fps_indices_reference(pts, n, start))
 
 
 def test_fps_deficit_pads_to_exact_size(rng):
