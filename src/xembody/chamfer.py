@@ -53,14 +53,31 @@ def _smooth_norm(d: np.ndarray, eps: float) -> np.ndarray:
 def _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg: MetricConfig) -> np.ndarray:
     """(N, M) combined-term matrix: smooth(|p_a - p_b|) - lam * <n_a, n_b>.
 
-    einsum (not BLAS matmul) keeps the arithmetic bitwise transpose-symmetric,
-    which makes dcd(X, X') == dcd(X', X) exact.
+    Each sum over the three axes runs as (x + z) + y, one (N, M) ufunc pass
+    per axis. That order reproduces np.einsum("nmk,nmk->nm") for the squared
+    distance and np.einsum("nk,mk->nm") for the dot product bit for bit (see
+    tests/test_chamfer.py::_pair_costs_reference); (x + y) + z does not.
+    Negated differences square to the same value and products commute, so
+    the matrix for (b, a) is exactly the transpose of the one for (a, b),
+    which makes dcd(X, X') == dcd(X', X) exact. BLAS matmul would not be.
     """
-    diff = points_a[:, None, :] - points_b[None, :, :]
-    dist = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
-    cost = _smooth_norm(dist, cfg.epsilon)
+    sq = np.subtract(points_a[:, 0, None], points_b[:, 0])
+    np.multiply(sq, sq, out=sq)
+    tmp = np.subtract(points_a[:, 2, None], points_b[:, 2])
+    np.multiply(tmp, tmp, out=tmp)
+    np.add(sq, tmp, out=sq)
+    np.subtract(points_a[:, 1, None], points_b[:, 1], out=tmp)
+    np.multiply(tmp, tmp, out=tmp)
+    np.add(sq, tmp, out=sq)
+    cost = _smooth_norm(np.sqrt(sq, out=sq), cfg.epsilon)
     if cfg.lam != 0.0:
-        cost = cost - cfg.lam * np.einsum("nk,mk->nm", dirs_a, dirs_b)
+        dot = np.multiply(dirs_a[:, 0, None], dirs_b[:, 0])
+        np.multiply(dirs_a[:, 2, None], dirs_b[:, 2], out=tmp)
+        np.add(dot, tmp, out=dot)
+        np.multiply(dirs_a[:, 1, None], dirs_b[:, 1], out=tmp)
+        np.add(dot, tmp, out=dot)
+        np.multiply(dot, cfg.lam, out=dot)
+        cost = np.subtract(cost, dot, out=dot)
     return cost
 
 

@@ -300,11 +300,23 @@ def _run(command: str, args: argparse.Namespace, transforms, **augment) -> int:
                 transform=t, **augment,
             ))
     if manifest.workers <= 1 or len(tasks) <= 1:
-        results = [_run_demo_task(t) for t in tasks]
+        results = _collect(command, map(_run_demo_task, tasks), len(tasks))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=manifest.workers) as pool:
-            results = list(pool.map(_run_demo_task, tasks))
+            results = _collect(command, pool.map(_run_demo_task, tasks), len(tasks))
     return _finish_run(command, manifest, results, started)
+
+
+def _collect(command: str, results, total: int) -> list[dict]:
+    """Gather results in task order, printing one progress line per demo to stderr."""
+    done = []
+    for r in results:
+        done.append(r)
+        status = "" if r["ok"] else ", FAILED"
+        print(f"{command} [{len(done)}/{total}] {r['id']}: {r['length']} frames, "
+              f"align {r['align_s']:.2f}s, synth {r['synth_s']:.2f}s{status}",
+              file=sys.stderr, flush=True)
+    return done
 
 
 def _read_anchors_file(path: str) -> tuple[np.ndarray, tuple | None]:

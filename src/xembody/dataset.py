@@ -79,6 +79,7 @@ def write_demonstration(demo: Demonstration, path: str | Path) -> str:
     frame_dir = path / "frames"
     frame_dir.mkdir(parents=True, exist_ok=True)
     length = len(demo)
+    written = [f"{t:06d}.bin" for t in range(length)]
     point_counts = []
     blocks = []
     for t in range(length):
@@ -86,7 +87,7 @@ def write_demonstration(demo: Demonstration, path: str | Path) -> str:
         proprio = demo.proprioception(t).astype("<f4")
         action = np.concatenate([demo.arm_targets[t], demo.ee_targets[t]]).astype("<f4")
         block = b"".join([points.tobytes(), proprio.tobytes(), action.tobytes()])
-        (frame_dir / f"{t:06d}.bin").write_bytes(block)
+        (frame_dir / written[t]).write_bytes(block)
         point_counts.append(len(points))
         blocks.append(block)
 
@@ -103,6 +104,10 @@ def write_demonstration(demo: Demonstration, path: str | Path) -> str:
         "seed": demo.seed,
     }
     (path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    # A rewrite in place must not keep frames past the new length.
+    for stale in frame_dir.glob("*.bin"):
+        if stale.name not in written:
+            stale.unlink()
     return _checksum(blocks)
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from xembody import MetricConfig, ValidationError, dcd, dcd_cotangent, functional_similarity
-from xembody.chamfer import _matches_accelerated, _matches_bruteforce
+from xembody.chamfer import (_matches_accelerated, _matches_bruteforce, _pair_costs,
+                             _smooth_norm)
 from xembody.funcrep import WorldFuncRep
 
 
@@ -121,6 +124,59 @@ def test_bruteforce_and_accelerated_agree_bitwise(rng):
         tr = _matches_accelerated(x, xp, cfg)
         assert np.array_equal(bf[0], tr[0]) and np.array_equal(bf[1], tr[1])
         assert np.array_equal(bf[2], tr[2]) and np.array_equal(bf[3], tr[3])
+
+
+def _pair_costs_reference(points_a, dirs_a, points_b, dirs_b, cfg):
+    """The einsum kernel `_pair_costs` replaced; it must give the same bits."""
+    diff = points_a[:, None, :] - points_b[None, :, :]
+    dist = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
+    cost = _smooth_norm(dist, cfg.epsilon)
+    if cfg.lam != 0.0:
+        cost = cost - cfg.lam * np.einsum("nk,mk->nm", dirs_a, dirs_b)
+    return cost
+
+
+@st.composite
+def pair_cost_cases(draw):
+    """Two point-direction sets and a metric. Coarse sets are full of duplicate
+    points and tied costs; seeded sets reach a few hundred points per side."""
+    kind = draw(st.sampled_from(["coarse", "fine", "seeded"]))
+
+    def cloud(n):
+        if kind == "seeded":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            arr = rng.normal(size=(n, 3)) * draw(st.sampled_from([1e-3, 0.3, 50.0]))
+            return np.round(arr, 2) if draw(st.booleans()) else arr
+        coord = (st.integers(-3, 3).map(lambda v: v / 10) if kind == "coarse"
+                 else st.floats(-10, 10, allow_nan=False))
+        return np.array(draw(st.lists(coord, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+
+    size = st.integers(1, 300) if kind == "seeded" else st.integers(1, 30)
+    n, m = draw(size), draw(size)
+    cfg = MetricConfig(draw(st.sampled_from([0.0, 0.5, 2.0])),
+                       draw(st.sampled_from([0.0, 1e-9, 1e-3])))
+    return cloud(n), cloud(n), cloud(m), cloud(m), cfg
+
+
+# Sums that round to different last bits as (x + y) + z and as (x + z) + y,
+# the order einsum uses: the offset (-0.1, -0.3, -0.1) between the first
+# points, and the dot product of (0.1, 0.3, 0.1) with itself between the
+# second directions, whose points coincide so that the cost is -lam * dot.
+LAST_BIT_PAIRS = (np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.3]]),
+                  np.array([[0.0, 0.0, 1.0], [0.1, 0.3, 0.1]]),
+                  np.array([[0.1, 0.3, 0.1], [0.2, -0.1, 0.3]]),
+                  np.array([[0.0, 1.0, 0.0], [0.1, 0.3, 0.1]]),
+                  MetricConfig(0.5, 0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=pair_cost_cases())
+@example(case=LAST_BIT_PAIRS)
+def test_pair_costs_match_einsum_reference(case):
+    points_a, dirs_a, points_b, dirs_b, cfg = case
+    cost = _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg)
+    assert np.array_equal(cost, _pair_costs_reference(points_a, dirs_a, points_b, dirs_b, cfg))
+    assert np.array_equal(_pair_costs(points_b, dirs_b, points_a, dirs_a, cfg), cost.T)
 
 
 def test_cotangent_identical_sets_smoothed(rng):

@@ -68,6 +68,21 @@ def test_retarget_end_to_end(tmp_path, robot_files, source_dataset):
         assert d["wall_clock_s"] > 0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_retarget_prints_one_progress_line_per_demo(tmp_path, robot_files, source_dataset,
+                                                    workers, capsys):
+    src, tgt = robot_files
+    out = tmp_path / "out"
+    assert main(retarget_args(src, tgt, source_dataset, out, workers=workers)) == 0
+    lines = capsys.readouterr().err.splitlines()
+    report = json.loads(Path(str(out) + ".report.json").read_text())
+    assert lines == [
+        f"retarget [{k + 1}/2] {d['id']}: {d['length']} frames, "
+        f"align {d['align_s']:.2f}s, synth {d['synth_s']:.2f}s"
+        for k, d in enumerate(report["demos"])
+    ]
+
+
 def test_retarget_empty_dataset_exits_zero(tmp_path, robot_files):
     src, tgt = robot_files
     empty = tmp_path / "empty"

@@ -12,6 +12,7 @@ import helpers
 from xembody import (ChecksumError, DatasetError, DatasetFormatError, PointCloud, crop_workspace,
                      ingest_recorded_log, read_demonstration, read_index,
                      write_demonstration, write_dataset)
+from xembody.cli import main
 from xembody.dataset import DatasetIndex, IndexEntry, write_index
 
 
@@ -42,6 +43,17 @@ def test_write_is_deterministic(tmp_path, gripper1):
     assert a == b
     assert (tmp_path / "a" / "frames" / "000000.bin").read_bytes() == \
         (tmp_path / "b" / "frames" / "000000.bin").read_bytes()
+
+
+def test_rewrite_in_place_keeps_only_new_frames(tmp_path, gripper1, capsys):
+    write_dataset({"d": small_demo(gripper1, length=12)}, tmp_path / "ds")
+    index = write_dataset({"d": small_demo(gripper1, length=7, seed=1)}, tmp_path / "ds")
+    frames = sorted(p.name for p in (tmp_path / "ds" / "d" / "frames").iterdir())
+    assert frames == [f"{t:06d}.bin" for t in range(7)]
+    assert len(read_demonstration(tmp_path / "ds" / "d", index.entries[0].checksum)) == 7
+    assert main(["validate", str(tmp_path / "ds")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["demos_checked"] == 1
 
 
 def test_single_frame_demo(tmp_path, gripper1):
