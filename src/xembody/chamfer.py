@@ -9,12 +9,9 @@ where the argmin couples position and direction jointly, ties break to the
 lowest index, and |.| is the smoothed norm sqrt(d^2 + eps^2) - eps (plain
 Euclidean at eps = 0). Functional similarity is the negative distance.
 
-Two match-search paths exist: exact brute force for small sets and a KD-tree
-candidate search above `BRUTE_FORCE_LIMIT` points. Both evaluate the combined
-term with identical arithmetic, so they agree bitwise; the tree path only
-prunes pairs that provably cannot win (the combined term of a candidate at
-point distance d is at least smooth(d) - lam, so anything farther than
-smooth_inv(best_nn + 2*lam) is out).
+Matches are found by brute force over row blocks of the (N, N') cost matrix,
+so memory stays near `BLOCK_ENTRIES` entries for any set size and every
+value equals the one the full matrix would hold.
 """
 
 from __future__ import annotations
@@ -22,12 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .funcrep import WorldFuncRep
 
-BRUTE_FORCE_LIMIT = 512
+# A block holds at most BLOCK_ROWS rows of the cost matrix, fewer when a row
+# is long, so that one block stays near BLOCK_ENTRIES entries.
+BLOCK_ROWS = 256
+BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,62 +80,41 @@ def _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg: MetricConfig) -> np.nda
     return cost
 
 
-def _matches_bruteforce(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig):
-    cost = _pair_costs(x.points, x.directions, xp.points, xp.directions, cfg)
+def _block_matches(points, dirs, xp: WorldFuncRep, cfg: MetricConfig):
+    """Argmins of one block of rows: (fwd, bwd, fwd_vals, bwd_vals)."""
+    cost = _pair_costs(points, dirs, xp.points, xp.directions, cfg)
     fwd = np.argmin(cost, axis=1)  # first occurrence = lowest index on ties
     bwd = np.argmin(cost, axis=0)
     n, m = cost.shape
-    fwd_vals = cost[np.arange(n), fwd]
-    bwd_vals = cost[bwd, np.arange(m)]
-    return fwd, bwd, fwd_vals, bwd_vals
-
-
-def _candidate_radius(nn_dist: np.ndarray, cfg: MetricConfig) -> np.ndarray:
-    # Invert the smoothed norm at (smooth(nn) + 2 lam): beyond this point
-    # distance the combined term cannot beat the nearest neighbor's.
-    target = _smooth_norm(nn_dist, cfg.epsilon) + 2.0 * cfg.lam
-    if cfg.epsilon == 0.0:
-        radius = target
-    else:
-        shifted = target + cfg.epsilon
-        radius = np.sqrt(np.maximum(shifted * shifted - cfg.epsilon**2, 0.0))
-    return radius * (1.0 + 1e-12) + 1e-300
-
-
-def _matches_tree_oneway(points_a, dirs_a, points_b, dirs_b, tree_b, cfg: MetricConfig):
-    nn_dist, _ = tree_b.query(points_a)
-    radius = _candidate_radius(nn_dist, cfg)
-    groups = tree_b.query_ball_point(points_a, radius)
-    idx = np.empty(len(points_a), dtype=np.int64)
-    vals = np.empty(len(points_a))
-    for i, candidates in enumerate(groups):
-        # Sorted candidates keep the lowest-index tie break; the nearest point
-        # itself is always inside the radius, so the group is never empty.
-        cand = np.sort(np.asarray(candidates, dtype=np.int64))
-        cost = _pair_costs(points_a[i : i + 1], dirs_a[i : i + 1],
-                           points_b[cand], dirs_b[cand], cfg)[0]
-        k = int(np.argmin(cost))
-        idx[i] = cand[k]
-        vals[i] = cost[k]
-    return idx, vals
-
-
-def _matches_accelerated(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig):
-    tree_x = cKDTree(x.points)
-    tree_xp = cKDTree(xp.points)
-    fwd, fwd_vals = _matches_tree_oneway(x.points, x.directions, xp.points, xp.directions,
-                                         tree_xp, cfg)
-    bwd, bwd_vals = _matches_tree_oneway(xp.points, xp.directions, x.points, x.directions,
-                                         tree_x, cfg)
-    return fwd, bwd, fwd_vals, bwd_vals
+    return fwd, bwd, cost[np.arange(n), fwd], cost[bwd, np.arange(m)]
 
 
 def _matches(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig):
-    if len(x) == 0 or len(xp) == 0:
+    """Row and column argmins of the cost matrix, one block of rows at a time.
+
+    A column's running minimum moves only to a strictly lower value, or to
+    the first NaN as np.argmin does, so ties keep the lowest row index and
+    the result equals the argmins of the full matrix bit for bit.
+    """
+    n, m = len(x), len(xp)
+    if n == 0 or m == 0:
         raise ValidationError("directional Chamfer distance needs non-empty sets")
-    if max(len(x), len(xp)) <= BRUTE_FORCE_LIMIT:
-        return _matches_bruteforce(x, xp, cfg)
-    return _matches_accelerated(x, xp, cfg)
+    rows = max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // m))
+    if n <= rows:
+        return _block_matches(x.points, x.directions, xp, cfg)
+    fwd = np.empty(n, dtype=np.intp)
+    fwd_vals = np.empty(n)
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        f, b, f_vals, b_vals = _block_matches(x.points[block], x.directions[block], xp, cfg)
+        fwd[block], fwd_vals[block] = f, f_vals
+        if start == 0:
+            bwd, bwd_vals = b, b_vals
+            continue
+        lower = (b_vals < bwd_vals) | (np.isnan(b_vals) & ~np.isnan(bwd_vals))
+        bwd[lower] = b[lower] + start
+        bwd_vals[lower] = b_vals[lower]
+    return fwd, bwd, fwd_vals, bwd_vals
 
 
 def dcd(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig | None = None) -> float:

@@ -9,11 +9,11 @@ size. All per-frame randomness derives from hash(global seed, demo id, frame).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .align import AlignedTrajectory
 from .errors import ValidationError
@@ -24,6 +24,12 @@ from .robot import Embodiment
 
 TAG_SCENE = 0
 TAG_ROBOT = 1
+
+# Masking grid bounds: the cell side grows until the padded grid has at most
+# _MASK_MAX_CELLS cells, and scene-sample pairs are tested _MASK_MAX_PAIRS at a
+# time, so memory stays bounded for any tau and robot size.
+_MASK_MAX_CELLS = 1 << 18
+_MASK_MAX_PAIRS = 1 << 17
 
 
 def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
@@ -122,8 +128,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
         if self.output_size < 1:
             raise ValidationError("output size must be at least 1")
         if self.robot_points < 1:
@@ -161,15 +167,97 @@ def crop_workspace(pc: PointCloud, box) -> PointCloud:
 
 
 def mask_robot_points(pc: PointCloud, robot_samples, tau: float) -> PointCloud:
-    """Remove points strictly closer than `tau` to any robot sample."""
+    """Remove points strictly closer than `tau` to any robot sample.
+
+    Exact, with no tree: scene points outside the samples' box grown by one
+    cell are kept at once; the rest are tested against the samples in the 27
+    cells around their own, on a grid whose cell side is at least 1.01 * tau,
+    so every pair closer than tau lands in neighbouring cells. Each distance
+    is sqrt((dx² + dy²) + dz²), the order in which scipy's cKDTree.query sums
+    it, so the survivors match a KD-tree nearest-neighbour mask bit for bit.
+    """
     robot_points = robot_samples.points if isinstance(robot_samples, PointCloud) \
         else np.asarray(robot_samples, dtype=float)
+    if robot_points.ndim != 2 or robot_points.shape[1] != 3:
+        raise ValidationError(f"robot samples must be an (R, 3) array, got shape "
+                              f"{robot_points.shape}")
     if len(robot_points) == 0:
         raise ValidationError("robot sample cloud must be non-empty")
+    samples = [np.ascontiguousarray(robot_points[:, k]) for k in range(3)]
+    lo = [float(c.min()) for c in samples]
+    hi = [float(c.max()) for c in samples]
+    if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
+        raise ValidationError("robot samples must be finite")
+    if not 0.0 < tau < math.inf:
+        raise ValidationError(f"masking distance must be positive and finite, got {tau}")
     if len(pc) == 0:
         return pc
-    distances, _ = cKDTree(robot_points).query(pc.points)
-    return pc.take(np.flatnonzero(distances >= tau))
+    return pc.take(np.flatnonzero(~_near_samples(pc.points, samples, lo, hi, tau)))
+
+
+def _near_samples(points, samples, lo, hi, tau: float) -> np.ndarray:
+    """(M,) bool: points strictly closer than tau to some sample.
+
+    `samples` holds the x, y and z columns, `lo` and `hi` their bounds.
+    """
+    side = max(1.01 * tau, max(b - a for a, b in zip(lo, hi)) / _MASK_MAX_CELLS)
+    cells = [math.floor((b - a) / side) + 1 for a, b in zip(lo, hi)]
+    # Two empty cells pad each side, so the neighbours of every (clipped)
+    # candidate cell index the table without bounds checks.
+    while math.prod(n + 4 for n in cells) > _MASK_MAX_CELLS:
+        side *= 2.0
+        cells = [math.floor((b - a) / side) + 1 for a, b in zip(lo, hi)]
+    dims = [n + 4 for n in cells]
+    strides = (dims[1] * dims[2], dims[2], 1)
+    pad = 2 * sum(strides)
+
+    inside = np.ones(len(points), dtype=bool)
+    for k in range(3):
+        inside &= (points[:, k] >= lo[k] - side) & (points[:, k] <= hi[k] + side)
+    candidates = np.flatnonzero(inside)
+    near = np.zeros(len(points), dtype=bool)
+    if len(candidates) == 0:
+        return near
+
+    keys = np.full(len(samples[0]), pad, dtype=np.int64)
+    for k in range(3):
+        keys += np.floor((samples[k] - lo[k]) / side).astype(np.int64) * strides[k]
+    order = np.argsort(keys)
+    starts = np.zeros(math.prod(dims) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=len(starts) - 1), out=starts[1:])
+    sorted_samples = [c[order] for c in samples]
+
+    cand = [np.ascontiguousarray(points[candidates, k]) for k in range(3)]
+    keys = np.full(len(candidates), pad, dtype=np.int64)
+    for k in range(3):
+        cell = np.floor((cand[k] - lo[k]) / side).astype(np.int64)
+        keys += np.clip(cell, -1, cells[k], out=cell) * strides[k]
+    # Along z the three neighbour cells are adjacent keys, so each of the nine
+    # (x, y) neighbour columns is one run of sorted samples.
+    columns = keys[:, None] + np.array([dx * strides[0] + dy * strides[1]
+                                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    begin = starts[columns - 1].ravel()
+    length = starts[columns + 2].ravel() - begin
+    runs = np.flatnonzero(length)
+    begin, length, owner_of_run = begin[runs], length[runs], runs // 9
+    stop = np.cumsum(length)
+    total = int(stop[-1]) if len(stop) else 0
+    for first in range(0, total, _MASK_MAX_PAIRS):
+        last = min(first + _MASK_MAX_PAIRS, total)
+        window = slice(np.searchsorted(stop, first, side="right"),
+                       np.searchsorted(stop, last, side="left") + 1)
+        run_start = stop[window] - length[window]
+        counts = np.minimum(stop[window], last) - np.maximum(run_start, first)
+        pos = np.repeat(begin[window] - run_start, counts)
+        pos += np.arange(first, last)
+        owner = np.repeat(owner_of_run[window], counts)
+        d = cand[0][owner] - sorted_samples[0][pos]
+        sq = d * d
+        for k in (1, 2):
+            np.subtract(cand[k][owner], sorted_samples[k][pos], out=d)
+            sq += d * d
+        near[candidates[owner[np.sqrt(sq, out=sq) < tau]]] = True
+    return near
 
 
 def sample_robot_cloud(e: Embodiment, q: np.ndarray, count: int, seed: int) -> PointCloud:

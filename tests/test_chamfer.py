@@ -1,12 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from xembody import MetricConfig, ValidationError, dcd, dcd_cotangent, functional_similarity
-from xembody.chamfer import (_matches_accelerated, _matches_bruteforce, _pair_costs,
-                             _smooth_norm)
+from xembody import (MetricConfig, ValidationError, chamfer, dcd, dcd_cotangent,
+                     functional_similarity)
+from xembody.chamfer import _matches, _pair_costs, _smooth_norm
 from xembody.funcrep import WorldFuncRep
 
 
@@ -115,15 +117,68 @@ def test_empty_set_is_an_error():
         dcd(empty, x)
 
 
+def full_matrix_matches(x, xp, cfg):
+    """Row and column argmins of one full cost matrix, ties to the lowest index."""
+    cost = _pair_costs(x.points, x.directions, xp.points, xp.directions, cfg)
+    fwd, bwd = np.argmin(cost, axis=1), np.argmin(cost, axis=0)
+    return fwd, bwd, cost[np.arange(len(x)), fwd], cost[bwd, np.arange(len(xp))]
+
+
+def assert_same_matches(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 def test_bruteforce_and_accelerated_agree_bitwise(rng):
-    # Exercise the tree path with sets beyond the brute-force limit.
+    # 600 rows run as three blocks of BLOCK_ROWS against the full matrix.
     x = helpers.random_funcrep(rng, 600, scale=0.3)
     xp = helpers.random_funcrep(rng, 550, scale=0.3)
+    assert len(x) > chamfer.BLOCK_ROWS
     for cfg in (MetricConfig(0.5, 0.0), MetricConfig(0.0, 0.0), MetricConfig(0.5, 1e-9)):
-        bf = _matches_bruteforce(x, xp, cfg)
-        tr = _matches_accelerated(x, xp, cfg)
-        assert np.array_equal(bf[0], tr[0]) and np.array_equal(bf[1], tr[1])
-        assert np.array_equal(bf[2], tr[2]) and np.array_equal(bf[3], tr[3])
+        assert_same_matches(_matches(x, xp, cfg), full_matrix_matches(x, xp, cfg))
+
+
+@st.composite
+def blocked_match_cases(draw):
+    """Two sets, a metric and a block height of 1 row, exactly N rows or more.
+    Tie-heavy sets round coordinates to 0.01 and directions to a few values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tied = draw(st.booleans())
+    n, m = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+
+    def cloud(size):
+        points = rng.uniform(-0.05, 0.05, (size, 3))
+        dirs = rng.normal(size=(size, 3))
+        if tied:
+            points = np.round(points, 2)
+            dirs = np.round(dirs)
+        return WorldFuncRep(points, dirs)
+
+    rows = draw(st.sampled_from([1, n, n + draw(st.integers(1, 5))]))
+    cfg = MetricConfig(draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([0.0, 1e-9])))
+    return cloud(n), cloud(m), cfg, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=blocked_match_cases())
+def test_blocked_matches_equal_full_matrix_argmins(case):
+    x, xp, cfg, rows = case
+    with mock.patch.object(chamfer, "BLOCK_ROWS", rows):
+        got = _matches(x, xp, cfg)
+    assert_same_matches(got, full_matrix_matches(x, xp, cfg))
+
+
+def test_blocked_matches_keep_the_first_nan_like_argmin():
+    # A NaN cost wins a column in np.argmin; the running minimum keeps that.
+    x = WorldFuncRep(np.array([[0.0, 0, 0], [1.0, 0, 0], [np.inf, 0, 0]]),
+                     np.array([[0, 0, 1.0], [0, 0, 1.0], [0, 0, 1.0]]))
+    xp = WorldFuncRep(np.array([[np.inf, 0, 0]]), np.array([[0, 0, 1.0]]))
+    cfg = MetricConfig(0.5, 0.0)
+    with np.errstate(invalid="ignore"), mock.patch.object(chamfer, "BLOCK_ROWS", 1):
+        got = _matches(x, xp, cfg)
+        want = full_matrix_matches(x, xp, cfg)
+    assert want[1][0] == 2 and np.isnan(want[3][0])
+    assert_same_matches(got, want)
 
 
 def _pair_costs_reference(points_a, dirs_a, points_b, dirs_b, cfg):
@@ -232,7 +287,7 @@ def test_argmin_couples_position_and_direction():
     )
     cfg = MetricConfig(0.5, 0.0)
     # combined costs: 0.10 + 0.5 = 0.60 vs 0.30 - 0.5 = -0.20 -> index 1 wins
-    fwd, _, fwd_vals, _ = _matches_bruteforce(x, xp, cfg)
+    fwd, _, fwd_vals, _ = _matches(x, xp, cfg)
     assert fwd[0] == 1
     assert np.isclose(fwd_vals[0], -0.2, atol=1e-15)
 
@@ -243,7 +298,7 @@ def test_tie_breaks_to_lowest_index():
         np.array([[0.2, 0, 0], [-0.2, 0, 0]]),
         np.array([[0, 0, 1.0], [0, 0, 1.0]]),
     )
-    fwd, _, _, _ = _matches_bruteforce(x, xp, MetricConfig(0.5, 0.0))
+    fwd, _, _, _ = _matches(x, xp, MetricConfig(0.5, 0.0))
     assert fwd[0] == 0
 
 

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
+import xembody
 from xembody import serialize_embodiment, write_dataset
 from xembody.cli import main
 from xembody.dataset import INDEX_FORMAT, read_demonstration, read_index
@@ -315,3 +319,16 @@ def test_inspect_rejects_out_of_range_frame(tmp_path, robot_files, source_datase
     code = main(["inspect", "--demo", str(out / "demo0"), "--frame", "99",
                  "--out", str(tmp_path / "x.obj")])
     assert code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # The runtime needs numpy and the standard library only; scipy is a test
+    # dependency. A fresh interpreter shows what `import xembody.cli` pulls in.
+    src = str(Path(xembody.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, xembody.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

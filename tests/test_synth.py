@@ -1,13 +1,18 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import helpers
 from xembody import (AlignedTrajectory, PointCloud, SynthConfig, ValidationError,
                      align_trajectory, build_template, crop_workspace, fps_downsample,
                      generate_actions, mask_robot_points, sample_robot_cloud, sample_surface,
                      synthesize_demonstration, synthesize_observation, template_trajectory)
+from xembody import synth
 from xembody.align import FrameDiagnostics
 from xembody.synth import TAG_ROBOT, TAG_SCENE, _fps_indices, derive_frame_seed
 
@@ -86,6 +91,115 @@ def test_mask_monotone_in_tau(rng):
 def test_mask_requires_robot_points():
     with pytest.raises(ValidationError):
         mask_robot_points(PointCloud(np.zeros((1, 3))), np.zeros((0, 3)), 0.005)
+
+
+def _mask_reference(points, samples, tau):
+    """The KD-tree mask the cell grid replaced; survivors must match bit for bit."""
+    distances, _ = cKDTree(samples).query(points)
+    return points[distances >= tau]
+
+
+@st.composite
+def mask_cases(draw):
+    """A scene, robot samples, tau and grid limits. Coarse coordinates sit on a
+    1 mm lattice, so many pairs lie at exactly tau or one rounding step off;
+    small limits force a grown cell side and many pair windows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    robot_scale = draw(st.sampled_from([1e-3, 0.05, 1.0]))
+    samples = rng.normal(size=(draw(st.integers(1, 400)), 3)) * robot_scale
+    scene = np.vstack([
+        rng.normal(size=(draw(st.integers(0, 400)), 3)) * 2 * robot_scale,
+        samples[rng.integers(0, len(samples), draw(st.integers(0, 100)))]
+        + rng.normal(size=3) * draw(st.sampled_from([0.0, 1e-3, 5e-3])),
+    ])
+    if draw(st.booleans()):
+        scene, samples = np.round(scene, 3), np.round(samples, 3)
+    tau = draw(st.sampled_from([1e-6, 1e-3, 0.005, 0.02, 0.3, 3.0]))
+    max_cells = draw(st.sampled_from([synth._MASK_MAX_CELLS, 200]))
+    max_pairs = draw(st.sampled_from([synth._MASK_MAX_PAIRS, 64, 1009]))
+    return scene, samples, tau, max_cells, max_pairs
+
+
+# This offset's squared distance rounds to a lower last bit summed as
+# (dx² + dy²) + dz², cKDTree's order, than in either other order; tau is the
+# higher value, so only the KD-tree order removes the point.
+LAST_BIT_OFFSET = (np.array([[-0.004, 0.005, 0.001]]), np.zeros((1, 3)), 0.006480740698407861,
+                   synth._MASK_MAX_CELLS, synth._MASK_MAX_PAIRS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mask_cases())
+@example(case=LAST_BIT_OFFSET)
+def test_mask_matches_kdtree_reference(case):
+    scene, samples, tau, max_cells, max_pairs = case
+    if case is LAST_BIT_OFFSET:
+        assert len(_mask_reference(scene, samples, tau)) == 0
+    with mock.patch.object(synth, "_MASK_MAX_CELLS", max_cells), \
+            mock.patch.object(synth, "_MASK_MAX_PAIRS", max_pairs):
+        out = mask_robot_points(PointCloud(scene), samples, tau)
+    assert np.array_equal(out.points, _mask_reference(scene, samples, tau))
+
+
+@pytest.mark.parametrize("tau", [1e-6, 0.005, 0.0123, 0.7])
+def test_mask_boundary_at_tau(tau):
+    # A point at exactly tau stays; one a rounding step closer goes, on every
+    # axis and on both sides of the sample.
+    inside = np.nextafter(tau, 0.0)
+    offsets = np.vstack([np.eye(3) * tau, -np.eye(3) * tau,
+                         np.eye(3) * inside, -np.eye(3) * inside])
+    out = mask_robot_points(PointCloud(offsets), np.zeros((1, 3)), tau)
+    assert np.array_equal(out.points, offsets[:6])
+
+
+def _peak_mask_bytes(scene, samples, tau):
+    tracemalloc.start()
+    try:
+        out = mask_robot_points(PointCloud(scene), samples, tau)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mask_tau_beyond_the_robot_runs_in_bounded_memory(rng):
+    # Every scene-sample pair is a candidate: 4M pairs, tested in windows.
+    samples = rng.uniform(-0.01, 0.01, (1000, 3))
+    scene = rng.uniform(-1.0, 1.0, (4000, 3))
+    out, peak = _peak_mask_bytes(scene, samples, 0.5)
+    assert np.array_equal(out.points, _mask_reference(scene, samples, 0.5))
+    assert 0 < len(out) < len(scene)
+    assert peak < 24 * 2**20
+
+
+def test_mask_tiny_tau_over_a_large_robot_runs_in_bounded_memory(rng):
+    # A 1 m robot at tau = 1 um would need 1e18 cells of side tau.
+    samples = rng.uniform(0.0, 1.0, (3000, 3))
+    near = samples[:200] + rng.uniform(-4e-7, 4e-7, (200, 3))
+    scene = np.vstack([near, rng.uniform(-0.1, 1.1, (2000, 3))])
+    out, peak = _peak_mask_bytes(scene, samples, 1e-6)
+    assert np.array_equal(out.points, _mask_reference(scene, samples, 1e-6))
+    assert len(out) <= len(scene) - 200
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("samples", [
+    np.array([[0.0, 0.0, np.nan]]),
+    np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]),
+    np.array([[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
+    np.zeros((4, 2)),
+    np.zeros(3),
+], ids=["nan", "inf", "span-overflows", "two-columns", "flat"])
+@pytest.mark.parametrize("scene_size", [0, 3])
+def test_mask_rejects_malformed_robot_samples(samples, scene_size):
+    with pytest.raises(ValidationError):
+        mask_robot_points(PointCloud(np.zeros((scene_size, 3))), samples, 0.005)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.005, np.inf, np.nan])
+def test_mask_rejects_bad_tau(tau):
+    with pytest.raises(ValidationError):
+        mask_robot_points(PointCloud(np.zeros((1, 3))), np.zeros((1, 3)), tau)
+    with pytest.raises(ValidationError):
+        SynthConfig(tau=tau)
 
 
 def test_robot_cloud_on_box_surface():
