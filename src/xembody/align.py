@@ -19,9 +19,8 @@ import numpy as np
 
 from .chamfer import MetricConfig, dcd, dcd_value_and_cotangent, functional_similarity
 from .errors import AlignmentError, ValidationError
-from .funcrep import (FuncRepTrajectory, FunctionalTemplate, WorldFuncRep,
-                      eval_template, eval_template_batch)
-from .kinematics import _resolve_link_indices, evaluate_with_pullback
+from .funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep, eval_template
+from .kinematics import _resolve_link_indices, evaluate_with_pullback, evaluate_world_set
 from .robot import Embodiment
 
 OPTIMIZERS = ("adaptive-moments", "plain-gradient")
@@ -227,7 +226,8 @@ def eis_initialize(target: Embodiment, template: FunctionalTemplate, x_0: WorldF
     lower, upper = target.lower_limits, target.upper_limits
     candidates = rng.uniform(lower, upper, size=(samples, target.dof))
 
-    points, dirs = eval_template_batch(target, template, candidates)
+    points, dirs = evaluate_world_set(target, candidates, template.link_names,
+                                      template.points, template.normals)
     scores = np.empty(samples)
     for b in range(samples):
         scores[b] = functional_similarity(x_0, WorldFuncRep(points[b], dirs[b]), metric)

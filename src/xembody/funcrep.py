@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kinematics import evaluate_world_set, evaluate_world_set_batch
+from .kinematics import evaluate_world_set
 from .robot import Embodiment, sample_link_surface
 
 VARIANTS = ("standard", "reduced", "random-dropped")
@@ -198,15 +198,12 @@ def eval_template(e: Embodiment, template: FunctionalTemplate, q: np.ndarray) ->
     return WorldFuncRep(pts, dirs)
 
 
-def eval_template_batch(e: Embodiment, template: FunctionalTemplate, qs: np.ndarray):
-    """Evaluate a template at (B, dof) configurations: ((B, N, 3), (B, N, 3))."""
-    return evaluate_world_set_batch(e, qs, template.link_names, template.points, template.normals)
-
-
 def template_trajectory(e: Embodiment, template: FunctionalTemplate,
                         trajectory: np.ndarray) -> FuncRepTrajectory:
     """Evaluate a template along a (L, dof) joint trajectory."""
     trajectory = np.asarray(trajectory, dtype=float)
     if trajectory.ndim != 2 or trajectory.shape[0] < 1:
         raise ValidationError(f"trajectory must be a non-empty (L, dof) array, got {trajectory.shape}")
-    return FuncRepTrajectory(tuple(eval_template(e, template, q) for q in trajectory))
+    pts, dirs = evaluate_world_set(e, trajectory, template.link_names, template.points,
+                                   template.normals)
+    return FuncRepTrajectory(tuple(map(WorldFuncRep, pts, dirs)))

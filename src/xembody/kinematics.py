@@ -6,6 +6,15 @@ origin transform and then the joint motion (rotation about, or translation
 along, the joint axis). Gradients are propagated analytically with per-joint
 screw derivatives: perturbing a revolute joint swings every descendant point
 about the joint's world axis line, a prismatic joint slides it along the axis.
+
+Shapes: one walk, `_fk_frames`, serves one configuration and batches. A
+configuration array has shape (..., dof); every result gains the same leading
+batch shape (..., L, 3, 3), (..., L, 3), (..., dof, 3). Each batch row is
+bit-equal to the call on that row alone, because the walk only multiplies 3x3
+matrices and 3-vectors with `@`: a stacked `@` runs the same BLAS product on
+each item, whatever the batch size. A mat-vec by `einsum` sums in another
+order and would change the last bit, so the walk uses none. The world-set
+transform `"...nij,nj->...ni"` is likewise row-independent.
 """
 
 from __future__ import annotations
@@ -33,15 +42,11 @@ class LinkPoseSet:
 
 @dataclass(frozen=True)
 class _ChainTable:
-    """Precomputed per-embodiment indexing for the FK walk and the pullback."""
+    """Precomputed per-embodiment steps for the FK walk and the pullback."""
 
-    parent_of_link: np.ndarray  # (L,) link index, -1 for the root
-    joint_of_link: np.ndarray  # (L,) joint index whose child is this link, -1 root
-    kinds: tuple[str, ...]  # per joint
-    dof_of_joint: np.ndarray  # (J,) dof index, -1 for fixed joints
-    axes: np.ndarray  # (J, 3)
-    origin_rotations: np.ndarray  # (J, 3, 3)
-    origin_translations: np.ndarray  # (J, 3)
+    # Per link in link order, parents first: (link, parent, kind, dof, origin_rot,
+    # origin_trans, axis); parent is -1 for the root, dof -1 for fixed joints.
+    steps: tuple[tuple, ...]
     ancestor_dofs: tuple[tuple[int, ...], ...]  # per link, root-to-link dof indices
     dof_kinds: tuple[str, ...]  # per dof: revolute | prismatic
 
@@ -55,82 +60,75 @@ def _chain(e: Embodiment) -> _ChainTable:
         return table
 
     link_index = {l.name: i for i, l in enumerate(e.links)}
-    joint_index = {j.name: i for i, j in enumerate(e.joints)}
-    n_links = len(e.links)
-    parent_of_link = np.full(n_links, -1, dtype=np.int64)
-    joint_of_link = np.full(n_links, -1, dtype=np.int64)
-    for i, link in enumerate(e.links):
-        if link.parent_joint is None:
-            continue
-        j = joint_index[link.parent_joint]
-        joint_of_link[i] = j
-        parent_of_link[i] = link_index[e.joints[j].parent_link]
-
-    dof_of_joint = np.full(len(e.joints), -1, dtype=np.int64)
+    joints = {j.name: j for j in e.joints}
+    dof_of_joint = {}
     dof_kinds = []
-    for j, joint in enumerate(e.joints):
+    for joint in e.joints:
         if joint.kind != "fixed":
-            dof_of_joint[j] = len(dof_kinds)
+            dof_of_joint[joint.name] = len(dof_kinds)
             dof_kinds.append(joint.kind)
 
+    steps = []
     ancestor_dofs: list[tuple[int, ...]] = []
-    for i in range(n_links):
-        if parent_of_link[i] == -1:
+    for i, link in enumerate(e.links):
+        if link.parent_joint is None:
+            steps.append((i, -1, "root", -1, None, None, None))
             ancestor_dofs.append(())
             continue
-        inherited = ancestor_dofs[parent_of_link[i]]
-        d = dof_of_joint[joint_of_link[i]]
-        ancestor_dofs.append(inherited + ((int(d),) if d >= 0 else ()))
+        joint = joints[link.parent_joint]
+        parent = link_index[joint.parent_link]
+        d = dof_of_joint.get(joint.name, -1)
+        steps.append((i, parent, joint.kind, d,
+                      np.array(joint.origin_rotation, dtype=float),
+                      np.array(joint.origin_translation, dtype=float),
+                      np.array(joint.axis, dtype=float)))
+        ancestor_dofs.append(ancestor_dofs[parent] + ((d,) if d >= 0 else ()))
 
-    table = _ChainTable(
-        parent_of_link=parent_of_link,
-        joint_of_link=joint_of_link,
-        kinds=tuple(j.kind for j in e.joints),
-        dof_of_joint=dof_of_joint,
-        axes=np.array([j.axis for j in e.joints]).reshape(len(e.joints), 3),
-        origin_rotations=np.array([j.origin_rotation for j in e.joints]).reshape(-1, 3, 3),
-        origin_translations=np.array([j.origin_translation for j in e.joints]).reshape(-1, 3),
-        ancestor_dofs=tuple(ancestor_dofs),
-        dof_kinds=tuple(dof_kinds),
-    )
+    table = _ChainTable(tuple(steps), tuple(ancestor_dofs), tuple(dof_kinds))
     _chain_cache[e] = table
     return table
 
 
 def _fk_frames(e: Embodiment, q: np.ndarray):
-    """FK walk returning link poses plus per-dof world axes and pivot points."""
-    table = _chain(e)
-    n_links = len(e.links)
-    rot = np.empty((n_links, 3, 3))
-    trans = np.empty((n_links, 3))
-    dof = e.dof
-    axis_world = np.zeros((dof, 3))
-    pivot_world = np.zeros((dof, 3))
+    """FK walk over `q` of shape (..., dof): link poses, per-dof world axes and pivots.
 
-    for i in range(n_links):
-        j = table.joint_of_link[i]
-        if j < 0:
-            rot[i] = e.base_rotation
-            trans[i] = e.base_translation
+    Returns rotations (..., L, 3, 3), translations (..., L, 3), axes and pivots
+    (..., dof, 3). Every product is a 3x3 `@`, so each batch row is bit-equal
+    to the call on that row alone.
+    """
+    table = _chain(e)
+    batch = q.shape[:-1]
+    rot = np.empty(batch + (len(e.links), 3, 3))
+    trans = np.empty(batch + (len(e.links), 3))
+    axis_world = np.zeros(batch + (e.dof, 3))
+    pivot_world = np.zeros(batch + (e.dof, 3))
+    # Views with the link (or dof) axis first, so one link is a plain first-axis
+    # index for any batch shape; for one configuration they are the arrays.
+    rot_of, trans_of = rot.swapaxes(0, -3), trans.swapaxes(0, -2)
+    axis_of, pivot_of = axis_world.swapaxes(0, -2), pivot_world.swapaxes(0, -2)
+    angles = q.swapaxes(0, -1)  # angles[d] is a scalar for one configuration
+
+    for link, parent, kind, d, origin_rot, origin_trans, axis in table.steps:
+        if parent < 0:
+            rot_of[link] = e.base_rotation
+            trans_of[link] = e.base_translation
             continue
-        p = table.parent_of_link[i]
-        pre_rot = rot[p] @ table.origin_rotations[j]
-        pre_trans = rot[p] @ table.origin_translations[j] + trans[p]
-        kind = table.kinds[j]
+        parent_rot = rot_of[parent]
+        pre_rot = parent_rot @ origin_rot
+        pre_trans = parent_rot @ origin_trans + trans_of[parent]
         if kind == "fixed":
-            rot[i] = pre_rot
-            trans[i] = pre_trans
+            rot_of[link] = pre_rot
+            trans_of[link] = pre_trans
             continue
-        d = table.dof_of_joint[j]
-        a = pre_rot @ table.axes[j]
-        axis_world[d] = a
-        pivot_world[d] = pre_trans
+        a = pre_rot @ axis
+        axis_of[d] = a
+        pivot_of[d] = pre_trans
         if kind == "revolute":
-            rot[i] = pre_rot @ rotation_about_axis(table.axes[j], q[d])
-            trans[i] = pre_trans
+            rot_of[link] = pre_rot @ rotation_about_axis(axis, angles[d])
+            trans_of[link] = pre_trans
         else:  # prismatic
-            rot[i] = pre_rot
-            trans[i] = pre_trans + q[d] * a
+            rot_of[link] = pre_rot
+            trans_of[link] = pre_trans + angles[d][..., None] * a
     return rot, trans, axis_world, pivot_world
 
 
@@ -142,54 +140,18 @@ def forward_kinematics(e: Embodiment, q: np.ndarray) -> LinkPoseSet:
 
 
 def forward_kinematics_batch(e: Embodiment, qs: np.ndarray):
-    """Vectorized FK over a (B, dof) batch; returns ((B, L, 3, 3), (B, L, 3))."""
-    qs = np.asarray(qs, dtype=float)
-    if qs.ndim != 2 or qs.shape[1] != e.dof:
-        raise ValidationError(f"batch shape {qs.shape} does not match dof {e.dof}")
-    table = _chain(e)
-    b, n_links = qs.shape[0], len(e.links)
-    rot = np.empty((b, n_links, 3, 3))
-    trans = np.empty((b, n_links, 3))
-    for i in range(n_links):
-        j = table.joint_of_link[i]
-        if j < 0:
-            rot[:, i] = e.base_rotation
-            trans[:, i] = e.base_translation
-            continue
-        p = table.parent_of_link[i]
-        pre_rot = rot[:, p] @ table.origin_rotations[j]
-        pre_trans = np.einsum("bij,j->bi", rot[:, p], table.origin_translations[j]) + trans[:, p]
-        kind = table.kinds[j]
-        if kind == "fixed":
-            rot[:, i] = pre_rot
-            trans[:, i] = pre_trans
-            continue
-        d = table.dof_of_joint[j]
-        if kind == "revolute":
-            rot[:, i] = pre_rot @ _batch_axis_rotation(table.axes[j], qs[:, d])
-            trans[:, i] = pre_trans
-        else:
-            rot[:, i] = pre_rot
-            trans[:, i] = pre_trans + qs[:, d, None] * np.einsum("bij,j->bi", pre_rot, table.axes[j])
+    """FK over a (B, dof) batch; returns ((B, L, 3, 3), (B, L, 3))."""
+    rot, trans, _, _ = _fk_frames(e, _check_batch(e, qs))
     return rot, trans
 
 
-def _batch_axis_rotation(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    x, y, z = axis
-    c = np.cos(angles)
-    s = np.sin(angles)
-    t = 1.0 - c
-    out = np.empty((len(angles), 3, 3))
-    out[:, 0, 0] = t * x * x + c
-    out[:, 0, 1] = t * x * y - s * z
-    out[:, 0, 2] = t * x * z + s * y
-    out[:, 1, 0] = t * x * y + s * z
-    out[:, 1, 1] = t * y * y + c
-    out[:, 1, 2] = t * y * z - s * x
-    out[:, 2, 0] = t * x * z - s * y
-    out[:, 2, 1] = t * y * z + s * x
-    out[:, 2, 2] = t * z * z + c
-    return out
+def _check_batch(e: Embodiment, qs: np.ndarray) -> np.ndarray:
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != e.dof:
+        raise ValidationError(f"batch shape {qs.shape} does not match dof {e.dof}")
+    if not np.all(np.isfinite(qs)):
+        raise ValidationError("configuration batch contains non-finite entries")
+    return qs
 
 
 def _resolve_link_indices(e: Embodiment, link_ids) -> np.ndarray:
@@ -209,10 +171,11 @@ def evaluate_world_set(e: Embodiment, q: np.ndarray, link_ids, points: np.ndarra
                        normals: np.ndarray):
     """Transform link-local (point, direction) pairs to the world frame.
 
-    `link_ids` may be link names or integer link indices, one per row of
-    `points`/`normals`.
+    `q` is one configuration (dof,) or a batch (B, dof); the result is (N, 3)
+    or (B, N, 3) per output. `link_ids` may be link names or integer link
+    indices, one per row of `points`/`normals`.
     """
-    q = e.check_configuration(q)
+    q = e.check_configuration(q) if np.ndim(q) < 2 else _check_batch(e, q)
     idx = _resolve_link_indices(e, link_ids)
     points = np.asarray(points, dtype=float)
     normals = np.asarray(normals, dtype=float)
@@ -223,21 +186,14 @@ def evaluate_world_set(e: Embodiment, q: np.ndarray, link_ids, points: np.ndarra
     if len(idx) != len(points):
         raise ValidationError("one link id is required per point")
     rot, trans, _, _ = _fk_frames(e, q)
-    r = rot[idx]  # (N, 3, 3)
-    world_points = np.einsum("nij,nj->ni", r, points) + trans[idx]
-    world_dirs = np.einsum("nij,nj->ni", r, normals)
-    return world_points, world_dirs
+    return _world_set(rot, trans, idx, points, normals)
 
 
-def evaluate_world_set_batch(e: Embodiment, qs: np.ndarray, link_ids,
-                             points: np.ndarray, normals: np.ndarray):
-    """Batched `evaluate_world_set` over (B, dof) configurations."""
-    idx = _resolve_link_indices(e, link_ids)
-    rot, trans = forward_kinematics_batch(e, qs)
-    r = rot[:, idx]  # (B, N, 3, 3)
-    t = trans[:, idx]  # (B, N, 3)
-    world_points = np.einsum("bnij,nj->bni", r, points) + t
-    world_dirs = np.einsum("bnij,nj->bni", r, normals)
+def _world_set(rot: np.ndarray, trans: np.ndarray, idx: np.ndarray, points: np.ndarray,
+               normals: np.ndarray):
+    r = rot[..., idx, :, :]  # (..., N, 3, 3)
+    world_points = np.einsum("...nij,nj->...ni", r, points) + trans[..., idx, :]
+    world_dirs = np.einsum("...nij,nj->...ni", r, normals)
     return world_points, world_dirs
 
 
@@ -261,9 +217,7 @@ def evaluate_with_pullback(e: Embodiment, q: np.ndarray, link_indices: np.ndarra
     """
     table = _chain(e)
     rot, trans, axis_world, pivot_world = _fk_frames(e, q)
-    r = rot[link_indices]
-    world_points = np.einsum("nij,nj->ni", r, points) + trans[link_indices]
-    world_dirs = np.einsum("nij,nj->ni", r, normals)
+    world_points, world_dirs = _world_set(rot, trans, link_indices, points, normals)
     unique_links = np.unique(link_indices)
 
     def pullback(d_points: np.ndarray, d_normals: np.ndarray) -> np.ndarray:

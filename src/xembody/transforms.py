@@ -13,19 +13,26 @@ IDENTITY_ROTATION = np.eye(3)
 ZERO_TRANSLATION = np.zeros(3)
 
 
-def rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotation matrix for a right-handed rotation of `angle` about a unit `axis`."""
+def rotation_about_axis(axis: np.ndarray, angle) -> np.ndarray:
+    """Right-handed rotation of `angle` about a unit `axis`.
+
+    `angle` may have any shape (...); the result is (..., 3, 3), each matrix
+    C-contiguous and bit-equal to the call on that angle alone.
+    """
     x, y, z = axis
     c = np.cos(angle)
     s = np.sin(angle)
     t = 1.0 - c
-    return np.array(
+    m = np.array(
         [
             [t * x * x + c, t * x * y - s * z, t * x * z + s * y],
             [t * x * y + s * z, t * y * y + c, t * y * z - s * x],
             [t * x * z - s * y, t * y * z + s * x, t * z * z + c],
         ]
     )
+    if m.ndim > 2:  # (3, 3, ...) -> (..., 3, 3), one C-contiguous matrix per angle
+        m = np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
+    return m
 
 
 def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:

@@ -66,8 +66,9 @@ def test_step_cap_without_early_stop():
 def test_nonfinite_loss_names_frame(gripper1):
     template = build_template(gripper1, gripper1.pad_links, 4, seed=0)
     bad = WorldFuncRep(np.full((2, 3), 1e308), np.tile([0.0, 0.0, 1.0], (2, 1)))
-    with pytest.raises(AlignmentError, match="frame 3"):
-        align_frame(gripper1, template, bad, np.zeros(1), AlignmentConfig(), frame_index=3)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(AlignmentError, match="frame 3"):
+            align_frame(gripper1, template, bad, np.zeros(1), AlignmentConfig(), frame_index=3)
 
 
 def test_self_transfer_fixed_point(hand6):

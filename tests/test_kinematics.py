@@ -1,13 +1,56 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from xembody import (ValidationError, evaluate_world_set, forward_kinematics,
-                     forward_kinematics_batch, pullback_to_joints)
+from xembody import (FunctionalTemplate, ValidationError, eval_template, evaluate_world_set,
+                     forward_kinematics, forward_kinematics_batch, pullback_to_joints,
+                     template_trajectory)
+from xembody.kinematics import _fk_frames
 from xembody.robot import EmbodimentManifest, JointSpec, LinkSpec, build_embodiment
 from xembody.transforms import homogeneous, rotation_about_axis
 
 oracle_link_poses = helpers.oracle_link_poses
+
+
+def _axis_rotation_reference(axis, angle):
+    x, y, z = axis
+    c, s = np.cos(angle), np.sin(angle)
+    t = 1.0 - c
+    return np.array([[t * x * x + c, t * x * y - s * z, t * x * z + s * y],
+                     [t * x * y + s * z, t * y * y + c, t * y * z - s * x],
+                     [t * x * z - s * y, t * y * z + s * x, t * z * z + c]])
+
+
+def _fk_frames_reference(e, q):
+    """The one-configuration FK walk before batching: 3x3 `@`, one link at a time."""
+    link_index = {l.name: i for i, l in enumerate(e.links)}
+    joints = {j.name: j for j in e.joints}
+    dof_index = {j.name: d for d, j in enumerate(e.actuated_joints)}
+    rot = np.empty((len(e.links), 3, 3))
+    trans = np.empty((len(e.links), 3))
+    axis_world = np.zeros((e.dof, 3))
+    pivot_world = np.zeros((e.dof, 3))
+    for i, link in enumerate(e.links):
+        if link.parent_joint is None:
+            rot[i], trans[i] = e.base_rotation, e.base_translation
+            continue
+        j = joints[link.parent_joint]
+        p = link_index[j.parent_link]
+        pre_rot = rot[p] @ j.origin_rotation
+        pre_trans = rot[p] @ j.origin_translation + trans[p]
+        rot[i], trans[i] = pre_rot, pre_trans
+        if j.kind == "fixed":
+            continue
+        d = dof_index[j.name]
+        a = pre_rot @ j.axis
+        axis_world[d], pivot_world[d] = a, pre_trans
+        if j.kind == "revolute":
+            rot[i] = pre_rot @ _axis_rotation_reference(j.axis, q[d])
+        else:
+            trans[i] = pre_trans + q[d] * a
+    return rot, trans, axis_world, pivot_world
 
 
 def test_straight_chain_tip(planar2):
@@ -88,8 +131,60 @@ def test_batch_fk_matches_single(planar2):
     rot, trans = forward_kinematics_batch(planar2, qs)
     for b in range(len(qs)):
         poses = forward_kinematics(planar2, qs[b])
-        assert np.allclose(rot[b], poses.rotations, atol=1e-12)
-        assert np.allclose(trans[b], poses.translations, atol=1e-12)
+        assert np.array_equal(rot[b], poses.rotations)
+        assert np.array_equal(trans[b], poses.translations)
+
+
+def test_batch_fk_rejects_bad_configurations(hand6):
+    with pytest.raises(ValidationError, match="non-finite"):
+        forward_kinematics_batch(hand6, np.full((2, 6), np.nan))
+    with pytest.raises(ValidationError, match="non-finite"):
+        forward_kinematics_batch(hand6, np.array([np.zeros(6), [0, 0, np.inf, 0, 0, 0]]))
+    for shape in ((6,), (2, 5), (2, 2, 6)):
+        with pytest.raises(ValidationError, match="does not match dof"):
+            forward_kinematics_batch(hand6, np.zeros(shape))
+
+
+def test_batch_world_set_needs_one_link_id_per_point(hand6):
+    with pytest.raises(ValidationError, match="one link id is required per point"):
+        evaluate_world_set(hand6, np.zeros((2, 6)), ["palm"], np.zeros((3, 3)), np.zeros((3, 3)))
+    with pytest.raises(ValidationError, match="non-finite"):
+        evaluate_world_set(hand6, np.full((2, 6), np.nan), ["palm"], np.zeros((1, 3)),
+                           np.zeros((1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_joints=st.integers(1, 8), batch=st.integers(1, 8))
+def test_fk_walk_is_batch_independent(seed, n_joints, batch):
+    # Random chains mix fixed, prismatic and revolute joints with rotated origins.
+    rng = np.random.default_rng(seed)
+    e = helpers.random_chain(rng, n_joints)
+    qs = rng.uniform(e.lower_limits, e.upper_limits, size=(batch, e.dof))
+    batched = _fk_frames(e, qs)
+    for b in range(batch):
+        single = _fk_frames(e, qs[b])
+        for got, want in zip(single, _fk_frames_reference(e, qs[b])):
+            assert np.array_equal(got, want)
+        for rows, want in zip(batched, single):
+            assert np.array_equal(rows[b], want)
+    for got, want in zip(_fk_frames(e, qs[None]), batched):  # (..., dof): any batch shape
+        assert np.array_equal(got[0], want)
+
+    n = 9
+    ids = rng.integers(0, len(e.links), n)
+    points = rng.normal(size=(n, 3)) * 0.2
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    world_points, world_dirs = evaluate_world_set(e, qs, ids, points, normals)
+    template = FunctionalTemplate(tuple(e.links[i].name for i in ids), points, normals)
+    trajectory = template_trajectory(e, template, qs)
+    for b in range(batch):
+        one_points, one_dirs = evaluate_world_set(e, qs[b], ids, points, normals)
+        assert np.array_equal(world_points[b], one_points)
+        assert np.array_equal(world_dirs[b], one_dirs)
+        frame = eval_template(e, template, qs[b])
+        assert np.array_equal(trajectory[b].points, frame.points)
+        assert np.array_equal(trajectory[b].directions, frame.directions)
 
 
 def test_evaluate_world_set_identity_and_translation(planar2):

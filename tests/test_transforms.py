@@ -10,6 +10,18 @@ def test_rotation_about_axis_quarter_turn():
     assert tf.is_rotation(r)
 
 
+def test_rotation_about_axis_over_an_angle_array_matches_scalar_calls():
+    rng = np.random.default_rng(7)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angles = rng.uniform(-np.pi, np.pi, size=(4, 5))
+    r = tf.rotation_about_axis(axis, angles)
+    assert r.shape == (4, 5, 3, 3) and r.flags.c_contiguous
+    for i, j in np.ndindex(angles.shape):
+        assert np.array_equal(r[i, j], tf.rotation_about_axis(axis, angles[i, j]))
+    assert tf.rotation_about_axis(axis, angles[0, :1]).shape == (1, 3, 3)
+
+
 def test_rpy_matches_composed_elementary_rotations():
     roll, pitch, yaw = 0.3, -0.7, 1.1
     rx = tf.rotation_about_axis(np.array([1.0, 0, 0]), roll)
