@@ -4,7 +4,7 @@ Each frame solves
 
     min_q  w1 * DCD(X_t, X'(q)) + w2 * limit_penalty(q)
 
-by first-order descent through the analytic kinematic pullback, warm-starting
+by Adam descent through the analytic kinematic pullback, warm-starting
 every frame from the previous frame's optimum. Stopping: a hard step cap plus
 patience on the best loss seen. The best-seen iterate is returned, not the
 last one.
@@ -23,12 +23,12 @@ from .funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep, eval_t
 from .kinematics import _resolve_link_indices, evaluate_with_pullback, evaluate_world_set
 from .robot import Embodiment
 
-OPTIMIZERS = ("adaptive-moments", "plain-gradient")
+IMPROVEMENT_TOL = 1e-8  # minimum decrease of the best loss that counts as progress
 
 
 @dataclass(frozen=True)
 class AlignmentConfig:
-    """Optimizer and loss weights for per-frame alignment."""
+    """Adam step size, stopping rule and loss weights for per-frame alignment."""
 
     metric: MetricConfig = field(default_factory=lambda: MetricConfig(lam=0.5, epsilon=1e-9))
     w1: float = 1.0  # weight on the directional Chamfer term
@@ -36,9 +36,6 @@ class AlignmentConfig:
     max_steps: int = 300
     patience: int = 10  # non-improving steps before halting
     step_size: float = 0.01
-    optimizer: str = "adaptive-moments"
-    improvement_tol: float = 1e-8  # minimum decrease that counts as progress
-    clamp_to_limits: bool = True
 
     def __post_init__(self):
         if self.w1 < 0 or self.w2 < 0:
@@ -49,8 +46,6 @@ class AlignmentConfig:
             raise ValidationError("patience must be at least 1")
         if self.step_size <= 0:
             raise ValidationError("step_size must be positive")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValidationError(f"optimizer must be one of {OPTIMIZERS}")
 
 
 @dataclass(frozen=True)
@@ -82,24 +77,18 @@ class AlignedTrajectory:
         return len(self.configs)
 
 
-def joint_limit_penalty(q: np.ndarray, e: Embodiment) -> float:
-    """Sum of squared hinge violations of the joint limits; zero inside."""
+def joint_limit_penalty(q: np.ndarray, e: Embodiment) -> tuple[float, np.ndarray]:
+    """(loss, gradient) of the summed squared hinge violations of the joint
+    limits; both are zero inside the limits."""
     q = e.check_configuration(q)
     over = np.maximum(0.0, q - e.upper_limits)
     under = np.maximum(0.0, e.lower_limits - q)
-    return float(np.sum(over * over) + np.sum(under * under))
-
-
-def joint_limit_penalty_gradient(q: np.ndarray, e: Embodiment) -> np.ndarray:
-    q = e.check_configuration(q)
-    over = np.maximum(0.0, q - e.upper_limits)
-    under = np.maximum(0.0, e.lower_limits - q)
-    return 2.0 * (over - under)
+    return float(np.sum(over * over) + np.sum(under * under)), 2.0 * (over - under)
 
 
 def minimize_with_patience(value_and_grad, q0: np.ndarray, cfg: AlignmentConfig,
                            context: str = ""):
-    """Generic descent loop with a step cap and best-loss patience.
+    """Adam descent with a step cap and best-loss patience.
 
     `value_and_grad(q) -> (loss, grad)`. Returns
     (best_q, loss_trace, steps_used, early_stopped). One step = one gradient
@@ -123,7 +112,7 @@ def minimize_with_patience(value_and_grad, q0: np.ndarray, cfg: AlignmentConfig,
             raise AlignmentError(f"non-finite loss or gradient{context}")
         trace.append(float(loss))
         steps = step
-        if loss < best - cfg.improvement_tol:
+        if loss < best - IMPROVEMENT_TOL:
             best = float(loss)
             best_q = q.copy()
             bad = 0
@@ -132,14 +121,11 @@ def minimize_with_patience(value_and_grad, q0: np.ndarray, cfg: AlignmentConfig,
             if bad >= cfg.patience:
                 early = True
                 break
-        if cfg.optimizer == "adaptive-moments":
-            m = beta1 * m + (1.0 - beta1) * grad
-            v = beta2 * v + (1.0 - beta2) * grad * grad
-            m_hat = m / (1.0 - beta1**step)
-            v_hat = v / (1.0 - beta2**step)
-            q = q - cfg.step_size * m_hat / (np.sqrt(v_hat) + tiny)
-        else:
-            q = q - cfg.step_size * grad
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1**step)
+        v_hat = v / (1.0 - beta2**step)
+        q = q - cfg.step_size * m_hat / (np.sqrt(v_hat) + tiny)
     return best_q, trace, steps, early
 
 
@@ -164,18 +150,18 @@ def align_frame(target: Embodiment, template: FunctionalTemplate, x_t: WorldFunc
         pts, dirs, pullback = evaluate_with_pullback(target, q, link_indices,
                                                      local_points, local_normals)
         value, d_pts, d_dirs = dcd_value_and_cotangent(x_t, WorldFuncRep(pts, dirs), cfg.metric)
+        penalty, penalty_grad = joint_limit_penalty(q, target)
         grad = pullback(cfg.w1 * d_pts, cfg.w1 * d_dirs)
-        grad += cfg.w2 * joint_limit_penalty_gradient(q, target)
-        loss = cfg.w1 * value + cfg.w2 * joint_limit_penalty(q, target)
-        return loss, grad
+        grad += cfg.w2 * penalty_grad
+        return cfg.w1 * value + cfg.w2 * penalty, grad
 
     best_q, trace, steps, early = minimize_with_patience(value_and_grad, q_init, cfg, context)
-    q_hat = np.clip(best_q, target.lower_limits, target.upper_limits) if cfg.clamp_to_limits else best_q
+    q_hat = np.clip(best_q, target.lower_limits, target.upper_limits)
 
     x_hat = eval_template(target, template, q_hat)
     final_dcd = dcd(x_t, x_hat, MetricConfig(lam=cfg.metric.lam, epsilon=0.0))
     final_loss = cfg.w1 * dcd(x_t, x_hat, cfg.metric) \
-        + cfg.w2 * joint_limit_penalty(q_hat, target)
+        + cfg.w2 * joint_limit_penalty(q_hat, target)[0]
     diag = FrameDiagnostics(
         final_loss=float(final_loss),
         final_dcd=float(final_dcd),

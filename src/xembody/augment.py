@@ -10,7 +10,6 @@ rigid at intermediate growth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +70,7 @@ class AugmentationSchedule:
             raise ValidationError(f"growth knee must be in (0, 1], got {self.knee}")
 
 
-def clipped_growth(t: int, length: int, knee: float = 0.8) -> float:
+def clipped_growth(t: int, length: int, knee: float = AugmentationSchedule.knee) -> float:
     """min(t / (knee * length), 1) with growth 0 at frame 0."""
     if length == 0:
         raise ValidationError("trajectory length must be positive")
@@ -149,30 +148,3 @@ def augment_scene_cloud(pc: PointCloud, object_mask: np.ndarray,
                                              points[object_mask])
     return PointCloud(points, None if pc.tags is None else pc.tags.copy())
 
-
-def save_transforms(transforms: list[AnchoredTransform], path) -> None:
-    """Serialize a transform list (rotation as wxyz quaternion)."""
-    doc = [
-        {
-            "anchor": t.anchor_index,
-            "grid": [t.grid_i, t.grid_j],
-            "quaternion": [float(v) for v in tf.quaternion_from_matrix(t.transform.rotation)],
-            "translation": [float(v) for v in t.transform.translation],
-        }
-        for t in transforms
-    ]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-
-
-def load_transforms(path) -> list[AnchoredTransform]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return [
-        AnchoredTransform(
-            SpatialTransform(tf.matrix_from_quaternion(np.asarray(item["quaternion"])),
-                             np.asarray(item["translation"], dtype=float)),
-            item["anchor"], item["grid"][0], item["grid"][1],
-        )
-        for item in doc
-    ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import shutil
 import sys
 import time
@@ -46,7 +47,6 @@ class RunManifest:
     source_manifest: str | None = None
     target_manifest: str | None = None
     points_per_link: int = 64
-    template_variant: str = "standard"
     template_seed: int | None = None  # derived from `seed` when unset
     alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
     synthesis: SynthConfig = field(default_factory=SynthConfig)
@@ -57,95 +57,113 @@ class RunManifest:
     report_path: str | None = None
 
 
+EIS_SAMPLES = 1000  # elite-initialization draws when EIS is on without a count
+
+# Every run-manifest key: "section.key" (top-level keys have no section) ->
+# (the flag that overrides it, its JSON type, the config it sets, the field).
+# The defaults live in the config dataclasses only.
+MANIFEST_KEYS = {
+    "source.description": ("source", str, "run", "source_description"),
+    "source.manifest": (None, str, "run", "source_manifest"),
+    "target.description": ("target", str, "run", "target_description"),
+    "target.manifest": (None, str, "run", "target_manifest"),
+    "input": ("input", str, "run", "input_path"),
+    "output": ("out", str, "run", "output_path"),
+    "seed": ("seed", int, "run", "seed"),
+    "workers": ("workers", int, "run", "workers"),
+    "template.points_per_link": (None, int, "run", "points_per_link"),
+    "template.seed": (None, int, "run", "template_seed"),
+    "alignment.lambda": ("lam", float, "metric", "lam"),
+    "alignment.epsilon": (None, float, "metric", "epsilon"),
+    "alignment.w1": ("w1", float, "alignment", "w1"),
+    "alignment.w2": ("w2", float, "alignment", "w2"),
+    "alignment.max_steps": ("max_steps", int, "alignment", "max_steps"),
+    "alignment.patience": ("patience", int, "alignment", "patience"),
+    "alignment.step_size": (None, float, "alignment", "step_size"),
+    "synthesis.tau": ("tau", float, "synthesis", "tau"),
+    "synthesis.workspace": (None, dict, "synthesis", "workspace"),
+    "synthesis.robot_points": (None, int, "synthesis", "robot_points"),
+    "synthesis.output_size": ("points", int, "synthesis", "output_size"),
+    "eis.enabled": ("eis", bool, "eis", "enabled"),
+    "eis.samples": ("eis_samples", int, "eis", "samples"),
+    "eis.fraction": ("eis_frac", float, "run", "eis_fraction"),
+}
+_SECTIONS = {name.split(".")[0] for name in MANIFEST_KEYS if "." in name}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number",
+               bool: "true or false", dict: 'an object {"min": [x, y, z], "max": [x, y, z]}'}
+
+
+def _read_json_file(path: str, what: str) -> dict:
+    try:
+        return _load_json_object(Path(path))
+    except OSError as err:
+        raise XembodyError(f"cannot read {what}: {err}") from err
+
+
+def _manifest_values(path: str) -> dict:
+    """The manifest's settings as {"section.key": value}; unknown keys and
+    sections that are not objects are errors."""
+    values = {}
+    for key, value in _read_json_file(path, "run manifest").items():
+        if key in _SECTIONS:
+            if not isinstance(value, dict):
+                raise XembodyError(f"{path}: section {key!r} must be an object")
+            values.update((f"{key}.{sub}", v) for sub, v in value.items())
+        elif "." in key:  # a dotted name such as "alignment.w1" only exists in its section
+            raise XembodyError(f"{path}: unknown key {key!r}")
+        else:
+            values[key] = value
+    for name in values:
+        if name not in MANIFEST_KEYS:
+            raise XembodyError(f"{path}: unknown key {name!r}")
+    return values
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _checked(name: str, value, kind):
+    """`value` as a `kind` setting, or an error naming the manifest key."""
+    if kind is float and _is_number(value):
+        return float(value)
+    if kind is dict and isinstance(value, dict) and sorted(value) == ["max", "min"] and all(
+            isinstance(corner, list) and len(corner) == 3 and all(map(_is_number, corner))
+            for corner in value.values()):  # the synthesis workspace box
+        return np.array(value["min"], dtype=float), np.array(value["max"], dtype=float)
+    if kind in (str, int, bool) and isinstance(value, kind) \
+            and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise XembodyError(f"manifest key {name!r} must be {_TYPE_NAMES[kind]}, "
+                       f"got {json.dumps(value)}")
+
+
 def load_run_manifest(args: argparse.Namespace) -> RunManifest:
-    doc: dict = {}
-    if args.manifest:
-        doc = json.loads(Path(args.manifest).read_text())
-    src = doc.get("source", {})
-    tgt = doc.get("target", {})
-    align_doc = dict(doc.get("alignment", {}))
-    synth_doc = dict(doc.get("synthesis", {}))
-    eis_doc = dict(doc.get("eis", {}))
-
-    def pick(flag_value, *keys, default=None):
-        if flag_value is not None:
-            return flag_value
-        node = doc
-        for key in keys[:-1]:
-            node = node.get(key, {})
-        return node.get(keys[-1], default)
-
-    source_description = pick(args.source, "source", "description")
-    target_description = pick(args.target, "target", "description")
-    input_path = pick(getattr(args, "input", None), "input")
-    output_path = pick(args.out, "output")
-    for label, value in (("--source", source_description), ("--target", target_description),
-                         ("--out", output_path)):
-        if value is None:
+    """The run's settings: the manifest's keys with the flags written over
+    them; every absent setting keeps its config dataclass default."""
+    values = _manifest_values(args.manifest) if args.manifest else {}
+    for name, (flag, *_) in MANIFEST_KEYS.items():
+        if flag is not None and getattr(args, flag) is not None:
+            values[name] = getattr(args, flag)
+    for label, name in (("--source", "source.description"), ("--target", "target.description"),
+                        ("--input", "input"), ("--out", "output")):
+        if name not in values:
             raise XembodyError(f"{label} is required (flag or manifest)")
 
-    if args.lam is not None:
-        align_doc["lambda"] = args.lam
-    for flag in ("w1", "w2", "max_steps", "patience"):
-        value = getattr(args, flag)
-        if value is not None:
-            align_doc[flag] = value
-    metric = MetricConfig(lam=float(align_doc.get("lambda", 0.5)),
-                          epsilon=float(align_doc.get("epsilon", 1e-9)))
-    alignment = AlignmentConfig(
-        metric=metric,
-        w1=float(align_doc.get("w1", 1.0)),
-        w2=float(align_doc.get("w2", 1.0)),
-        max_steps=int(align_doc.get("max_steps", 300)),
-        patience=int(align_doc.get("patience", 10)),
-        step_size=float(align_doc.get("step_size", 0.01)),
-        optimizer=align_doc.get("optimizer", "adaptive-moments"),
-        improvement_tol=float(align_doc.get("improvement_tol", 1e-8)),
-        clamp_to_limits=bool(align_doc.get("clamp_to_limits", True)),
-    )
-
-    if args.tau is not None:
-        synth_doc["tau"] = args.tau
-    if args.points is not None:
-        synth_doc["output_size"] = args.points
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
-    workspace = None
-    if "workspace" in synth_doc:
-        workspace = (np.asarray(synth_doc["workspace"]["min"], dtype=float),
-                     np.asarray(synth_doc["workspace"]["max"], dtype=float))
-    synthesis = SynthConfig(
-        tau=float(synth_doc.get("tau", 0.005)),
-        workspace=workspace,
-        robot_points=int(synth_doc.get("robot_points", 4096)),
-        output_size=int(synth_doc.get("output_size", 1024)),
-        seed=seed,
-    )
-
-    eis_samples = 0
-    if args.eis or eis_doc.get("enabled"):
-        eis_samples = int(args.eis_samples if args.eis_samples is not None
-                          else eis_doc.get("samples", 1000))
-    eis_fraction = args.eis_frac if args.eis_frac is not None else float(eis_doc.get("fraction", 0.10))
-
-    template_doc = doc.get("template", {})
-    return RunManifest(
-        source_description=str(source_description),
-        target_description=str(target_description),
-        input_path=str(input_path) if input_path is not None else "",
-        output_path=str(output_path),
-        source_manifest=pick(None, "source", "manifest"),
-        target_manifest=pick(None, "target", "manifest"),
-        points_per_link=int(template_doc.get("points_per_link", 64)),
-        template_variant=template_doc.get("variant", "standard"),
-        template_seed=template_doc.get("seed"),
-        alignment=alignment,
-        synthesis=synthesis,
-        seed=seed,
-        workers=int(args.workers if args.workers is not None else doc.get("workers", 1)),
-        eis_samples=eis_samples,
-        eis_fraction=float(eis_fraction),
-        report_path=args.report,
-    )
+    configs = {"run": {}, "metric": {}, "alignment": {}, "synthesis": {}, "eis": {}}
+    for name, value in values.items():
+        _, kind, config, field_name = MANIFEST_KEYS[name]
+        configs[config][field_name] = _checked(name, value, kind)
+    run, eis = configs["run"], configs["eis"]
+    if eis.get("enabled"):
+        run["eis_samples"] = eis.get("samples", EIS_SAMPLES)
+    if "seed" in run:
+        configs["synthesis"]["seed"] = run["seed"]
+    metric = replace(AlignmentConfig().metric, **configs["metric"])
+    return RunManifest(**run, report_path=args.report,
+                       alignment=AlignmentConfig(metric=metric, **configs["alignment"]),
+                       synthesis=SynthConfig(**configs["synthesis"]))
 
 
 @dataclass
@@ -161,8 +179,8 @@ class _DemoTask:
     target: Embodiment
     source_template: FunctionalTemplate
     target_template: FunctionalTemplate
-    transform: AnchoredTransform | None = None  # set for augment runs
-    growth_knee: float = 0.8
+    transform: AnchoredTransform | None = None  # set for augment runs, with a schedule
+    schedule: AugmentationSchedule | None = None
     object_box: tuple | None = None
 
 
@@ -180,10 +198,10 @@ def _run_demo_task(task: _DemoTask) -> dict:
 
         if task.transform is not None:
             rep_traj = augment_rep_trajectory(rep_traj, task.transform.transform,
-                                              AugmentationSchedule(task.growth_knee))
+                                              task.schedule)
             clouds = []
             for t, cloud in enumerate(demo.clouds):
-                growth = clipped_growth(t, len(demo), task.growth_knee)
+                growth = clipped_growth(t, len(demo), task.schedule.knee)
                 if task.object_box is not None:
                     lo, hi = task.object_box
                     mask = np.all((cloud.points >= lo) & (cloud.points <= hi), axis=1)
@@ -271,17 +289,15 @@ def _run(command: str, args: argparse.Namespace, transforms, **augment) -> int:
     """Convert every input demo once per transform; `None` keeps the demo as is."""
     started = time.perf_counter()
     manifest = load_run_manifest(args)
-    if not manifest.input_path:
-        raise XembodyError("--input is required (flag or manifest)")
     source = load_embodiment(manifest.source_description, manifest.source_manifest)
     target = load_embodiment(manifest.target_description, manifest.target_manifest)
     template_seed = manifest.template_seed
     if template_seed is None:
         template_seed = _subseed(manifest.seed, "template")
     source_template = build_template(source, source.pad_links, manifest.points_per_link,
-                                     template_seed, manifest.template_variant)
+                                     template_seed)
     target_template = build_template(target, target.pad_links, manifest.points_per_link,
-                                     template_seed, manifest.template_variant)
+                                     template_seed)
     in_dir = Path(manifest.input_path)
     index = read_index(in_dir)
     if len(index) == 0:
@@ -325,10 +341,7 @@ def _read_anchors_file(path: str) -> tuple[np.ndarray, tuple | None]:
     Returns the (K, 3) anchors and the (min, max) object box, or None when the
     file has no box.
     """
-    try:
-        doc = _load_json_object(Path(path))
-    except OSError as err:
-        raise XembodyError(f"cannot read anchors file: {err}") from err
+    doc = _read_json_file(path, "anchors file")
     if "anchors" not in doc:
         raise XembodyError(f"{path}: no 'anchors' list")
 
@@ -359,7 +372,7 @@ def _read_anchors_file(path: str) -> tuple[np.ndarray, tuple | None]:
 def cmd_augment(args: argparse.Namespace) -> int:
     anchors, object_box = _read_anchors_file(args.anchors_file)
     return _run("augment", args, grid_transforms(anchors, args.grid_n, args.grid_range),
-                growth_knee=args.growth_knee, object_box=object_box)
+                schedule=AugmentationSchedule(args.growth_knee), object_box=object_box)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -447,15 +460,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         rep_b = _rep_of(args.paired_embodiment, paired,
                         min(args.frame, len(paired) - 1), args.points_per_link)
 
-    lines = write_inspect_obj(Path(args.out), cloud, rep_a, rep_b,
-                              whisker=args.whisker, lam=args.lam if args.lam is not None else 0.5)
+    lines = write_inspect_obj(Path(args.out), cloud, rep_a, rep_b, args.whisker, args.lam)
     print(f"wrote {args.out}: {len(cloud)} scene points, "
           f"{0 if rep_a is None else len(rep_a)} rep points, {lines} lines")
     return 0
 
 
-def write_inspect_obj(path: Path, cloud, rep_a, rep_b, whisker: float = 0.01,
-                      lam: float = 0.5) -> int:
+def write_inspect_obj(path: Path, cloud, rep_a, rep_b, whisker: float, lam: float) -> int:
     """Dump scene points, rep points, direction whiskers, and match lines as OBJ.
 
     Vertices are formatted at float32 precision (%.9g) so a re-import agrees
@@ -516,7 +527,8 @@ def main(argv=None) -> int:
         p.add_argument("--patience", type=int, default=None)
         p.add_argument("--tau", type=float, default=None, help="robot masking distance (m)")
         p.add_argument("--points", type=int, default=None, help="output cloud size")
-        p.add_argument("--eis", action="store_true", help="elite-based initialization")
+        p.add_argument("--eis", action="store_true", default=None,
+                       help="elite-based initialization")
         p.add_argument("--eis-samples", dest="eis_samples", type=int, default=None)
         p.add_argument("--eis-frac", dest="eis_frac", type=float, default=None)
         p.add_argument("--report", default=None, help="report JSON path")
@@ -530,7 +542,8 @@ def main(argv=None) -> int:
                        help="JSON with anchors (and optional object_box)")
     p_aug.add_argument("--grid-n", dest="grid_n", type=int, default=10)
     p_aug.add_argument("--grid-range", dest="grid_range", type=float, default=0.08)
-    p_aug.add_argument("--growth-knee", dest="growth_knee", type=float, default=0.8)
+    p_aug.add_argument("--growth-knee", dest="growth_knee", type=float,
+                       default=AugmentationSchedule.knee)
 
     p_val = sub.add_parser("validate", help="check dataset invariants")
     p_val.add_argument("dataset")
@@ -545,9 +558,10 @@ def main(argv=None) -> int:
     p_ins.add_argument("--embodiment", dest="primary_embodiment", default=None)
     p_ins.add_argument("--paired-demo", dest="paired_demo", default=None)
     p_ins.add_argument("--paired-embodiment", dest="paired_embodiment", default=None)
-    p_ins.add_argument("--points-per-link", dest="points_per_link", type=int, default=64)
+    p_ins.add_argument("--points-per-link", dest="points_per_link", type=int,
+                       default=RunManifest.points_per_link)
     p_ins.add_argument("--whisker", type=float, default=0.01)
-    p_ins.add_argument("--lambda", dest="lam", type=float, default=None)
+    p_ins.add_argument("--lambda", dest="lam", type=float, default=MetricConfig.lam)
 
     args = parser.parse_args(argv)
     try:

@@ -89,16 +89,16 @@ class EmbodimentManifest:
 
     @staticmethod
     def from_json(text: str) -> "EmbodimentManifest":
-        doc = json.loads(text)
+        doc = _json_object(text, "embodiment manifest")
         workspace = None
         if doc.get("workspace") is not None:
-            ws = doc["workspace"]
-            lo = np.asarray(ws["min"], dtype=float)
-            hi = np.asarray(ws["max"], dtype=float)
+            ws = _object(doc["workspace"], "manifest 'workspace'")
+            lo = np.asarray(_required(ws, "min", "manifest 'workspace'"), dtype=float)
+            hi = np.asarray(_required(ws, "max", "manifest 'workspace'"), dtype=float)
             workspace = (lo, hi)
         rotation = np.eye(3)
         translation = np.zeros(3)
-        base = doc.get("world_to_base") or {}
+        base = _object(doc.get("world_to_base") or {}, "manifest 'world_to_base'")
         if "rpy" in base:
             rotation = tf.rpy_matrix(*base["rpy"])
         elif "rotation" in base:
@@ -130,6 +130,26 @@ class EmbodimentManifest:
             "translation": [float(v) for v in self.base_translation],
         }
         return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def _json_object(text: str, what: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DescriptionError(f"malformed JSON: {err.msg}", line=err.lineno) from err
+    return _object(doc, what)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise DescriptionError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _required(doc: dict, key: str, what: str):
+    if key not in doc:
+        raise DescriptionError(f"{what} has no {key!r}")
+    return doc[key]
 
 
 def _read_only(values) -> np.ndarray:
@@ -545,14 +565,14 @@ NATIVE_FORMAT = "xembody-robot"
 def _geometry_from_native(doc: dict | None, what: str, base_dir: Path | None) -> TriMesh | None:
     if doc is None:
         return None
-    kind = doc.get("type")
+    kind = _object(doc, f"{what} geometry").get("type")
     if kind == "box":
-        return box_mesh(np.asarray(doc["half_extents"], dtype=float))
+        return box_mesh(np.asarray(_required(doc, "half_extents", what), dtype=float))
     if kind == "mesh":
-        return TriMesh(np.asarray(doc["vertices"], dtype=float),
-                       np.asarray(doc["faces"], dtype=np.int64))
+        return TriMesh(np.asarray(_required(doc, "vertices", what), dtype=float),
+                       np.asarray(_required(doc, "faces", what), dtype=np.int64))
     if kind == "mesh_file":
-        path = Path(doc["path"])
+        path = Path(_required(doc, "path", what))
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
         mesh = load_mesh_file(path)
@@ -563,23 +583,23 @@ def _geometry_from_native(doc: dict | None, what: str, base_dir: Path | None) ->
 
 
 def _parse_native(text: str, base_dir: Path | None):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DescriptionError(f"malformed JSON: {err.msg}", line=err.lineno) from err
+    doc = _json_object(text, "robot description")
     if doc.get("format") != NATIVE_FORMAT:
         raise DescriptionError(
             f"expected document format {NATIVE_FORMAT!r}, got {doc.get('format')!r}",
             element="format",
         )
     name = doc.get("name", "robot")
-    links = [
-        LinkSpec(l["name"], _geometry_from_native(l.get("geometry"), f"link {l['name']!r}", base_dir))
-        for l in doc.get("links", [])
-    ]
+    links = []
+    for k, l in enumerate(doc.get("links", [])):
+        link_name = _required(_object(l, f"links[{k}]"), "name", f"links[{k}]")
+        links.append(LinkSpec(link_name, _geometry_from_native(
+            l.get("geometry"), f"link {link_name!r}", base_dir)))
     joints = []
-    for j in doc.get("joints", []):
-        origin = j.get("origin", {})
+    for k, j in enumerate(doc.get("joints", [])):
+        what = f"joints[{k}]"
+        joint_name = _required(_object(j, what), "name", what)
+        origin = _object(j.get("origin", {}), f"joint {joint_name!r} origin")
         if "rpy" in origin:
             rotation = tf.rpy_matrix(*origin["rpy"])
         elif "rotation" in origin:
@@ -590,13 +610,14 @@ def _parse_native(text: str, base_dir: Path | None):
         kind = j.get("kind")
         if kind not in JOINT_KINDS:
             raise DescriptionError(
-                f"unsupported joint kind {kind!r}", element=f"joint {j.get('name')!r}"
+                f"unsupported joint kind {kind!r}", element=f"joint {joint_name!r}"
             )
         if kind != "fixed" and ("lower" not in j or "upper" not in j):
-            raise ValidationError(f"joint {j.get('name')!r} is {kind} but has no limits")
+            raise ValidationError(f"joint {joint_name!r} is {kind} but has no limits")
         joints.append(
             JointSpec(
-                j["name"], kind, j["parent"], j["child"],
+                joint_name, kind, _required(j, "parent", f"joint {joint_name!r}"),
+                _required(j, "child", f"joint {joint_name!r}"),
                 np.asarray(j.get("axis", (1.0, 0.0, 0.0)), dtype=float),
                 rotation, translation,
                 float(j.get("lower", 0.0)), float(j.get("upper", 0.0)),
@@ -694,7 +715,17 @@ def load_embodiment(
         if candidate.exists() and candidate != description_path:
             manifest_path = candidate
     if manifest_path is not None:
-        manifest = EmbodimentManifest.from_json(Path(manifest_path).read_text())
-    return parse_robot_description(
-        description_path.read_text(), fmt, manifest, base_dir=description_path.parent
-    )
+        manifest = _read_description(Path(manifest_path), EmbodimentManifest.from_json)
+    return _read_description(description_path, lambda text: parse_robot_description(
+        text, fmt, manifest, base_dir=description_path.parent))
+
+
+def _read_description(path: Path, parse):
+    """`parse(text of path)`; a file that cannot be read (or a mesh file it
+    references) and malformed contents raise a DescriptionError naming the file."""
+    try:
+        return parse(path.read_text())
+    except OSError as err:
+        raise DescriptionError(f"cannot read {err.filename or path}: {err.strerror}") from err
+    except DescriptionError as err:
+        raise DescriptionError(f"{path}: {err}") from err

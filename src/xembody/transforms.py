@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-IDENTITY_ROTATION = np.eye(3)
-ZERO_TRANSLATION = np.zeros(3)
-
 
 def rotation_about_axis(axis: np.ndarray, angle) -> np.ndarray:
     """Right-handed rotation of `angle` about a unit `axis`.
@@ -47,11 +44,6 @@ def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
             [-sp, cp * sr, cp * cr],
         ]
     )
-
-
-def compose(ra: np.ndarray, ta: np.ndarray, rb: np.ndarray, tb: np.ndarray):
-    """Compose two transforms: result maps x -> Ra (Rb x + tb) + ta."""
-    return ra @ rb, ra @ tb + ta
 
 
 def apply_to_points(r: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -99,27 +91,6 @@ def scale_rotation(r: np.ndarray, factor: float) -> np.ndarray:
     """Rotation about the same axis with the angle scaled by `factor` (geodesic)."""
     axis, angle = axis_angle_of(r)
     return rotation_about_axis(axis, factor * angle)
-
-
-def quaternion_from_matrix(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) for a rotation matrix, w >= 0."""
-    axis, angle = axis_angle_of(r)
-    w = np.cos(angle / 2.0)
-    xyz = axis * np.sin(angle / 2.0)
-    q = np.array([w, xyz[0], xyz[1], xyz[2]])
-    return q if q[0] >= 0 else -q
-
-
-def matrix_from_quaternion(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix for a (w, x, y, z) quaternion (normalized internally)."""
-    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
 
 
 def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:

@@ -17,7 +17,7 @@ from xembody import (AlignmentConfig, MetricConfig, align_frame, build_template,
                      eis_initialize, eval_template, fps_downsample, functional_similarity,
                      grid_transforms, joint_limit_penalty, mask_robot_points,
                      serialize_embodiment, template_trajectory, write_dataset)
-from xembody.align import joint_limit_penalty_gradient, minimize_with_patience
+from xembody.align import minimize_with_patience
 from xembody.augment import SpatialTransform, augment_rep_trajectory
 from xembody.chamfer import _pair_costs
 from xembody.cli import main
@@ -112,7 +112,7 @@ def _align_loss_and_grad(e, template, x_t, metric):
     def loss(q):
         pts, dirs = evaluate_world_set(e, q, template.link_names, template.points,
                                        template.normals)
-        return dcd(x_t, WorldFuncRep(pts, dirs), metric) + joint_limit_penalty(q, e)
+        return dcd(x_t, WorldFuncRep(pts, dirs), metric) + joint_limit_penalty(q, e)[0]
 
     def grad(q):
         from xembody.chamfer import dcd_value_and_cotangent
@@ -122,7 +122,7 @@ def _align_loss_and_grad(e, template, x_t, metric):
         _, dp, dd = dcd_value_and_cotangent(x_t, WorldFuncRep(pts, dirs), metric)
         return pullback_to_joints(e, q, template.link_names, template.points,
                                   template.normals, dp, dd) \
-            + joint_limit_penalty_gradient(q, e)
+            + joint_limit_penalty(q, e)[1]
 
     return loss, grad
 
@@ -189,7 +189,7 @@ def test_c05_self_transfer_fixed_point():
         q_hat, diag = align_frame(e, template, x_t, trajectory[t], cfg, frame_index=t)
         worst_dcd = max(worst_dcd, diag.final_dcd)
         worst_dev = max(worst_dev, float(np.abs(q_hat - trajectory[t]).max()))
-        worst_pen = max(worst_pen, joint_limit_penalty(q_hat, e))
+        worst_pen = max(worst_pen, joint_limit_penalty(q_hat, e)[0])
     assert worst_dcd <= -1.0 + 1e-6
     assert worst_pen == 0.0
     assert worst_dev <= 1e-3

@@ -6,7 +6,7 @@ from xembody import (AlignmentConfig, AlignmentError, MetricConfig, ValidationEr
                      align_frame, align_trajectory, build_template, eis_initialize,
                      eval_template, functional_similarity, joint_limit_penalty,
                      template_trajectory)
-from xembody.align import joint_limit_penalty_gradient, minimize_with_patience
+from xembody.align import minimize_with_patience
 from xembody.funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep
 from xembody.kinematics import _fk_frames
 from xembody.robot import EmbodimentManifest, JointSpec, LinkSpec, build_embodiment
@@ -14,24 +14,25 @@ from xembody.transforms import rotation_about_axis
 
 
 def test_penalty_zero_inside_limits(hand6):
-    assert joint_limit_penalty(hand6.mid_range_configuration(), hand6) == 0.0
+    loss, grad = joint_limit_penalty(hand6.mid_range_configuration(), hand6)
+    assert loss == 0.0 and not np.any(grad)
 
 
 def test_penalty_hinge_squared(hand6):
     q = hand6.mid_range_configuration()
     q[1] = hand6.upper_limits[1] + 0.1
-    assert np.isclose(joint_limit_penalty(q, hand6), 0.01, atol=1e-15)
+    assert np.isclose(joint_limit_penalty(q, hand6)[0], 0.01, atol=1e-15)
 
 
 def test_penalty_gradient_matches_finite_differences(hand6):
     rng = np.random.default_rng(4)
     q = hand6.upper_limits + rng.uniform(0.01, 0.2, hand6.dof)
     q[::2] = hand6.lower_limits[::2] - rng.uniform(0.01, 0.2, hand6.dof)[::2]
-    grad = joint_limit_penalty_gradient(q, hand6)
+    _, grad = joint_limit_penalty(q, hand6)
     h = 1e-7
     fd = np.array([
-        (joint_limit_penalty(q + h * np.eye(hand6.dof)[d], hand6)
-         - joint_limit_penalty(q - h * np.eye(hand6.dof)[d], hand6)) / (2 * h)
+        (joint_limit_penalty(q + h * np.eye(hand6.dof)[d], hand6)[0]
+         - joint_limit_penalty(q - h * np.eye(hand6.dof)[d], hand6)[0]) / (2 * h)
         for d in range(hand6.dof)
     ])
     assert np.abs(grad - fd).max() <= 1e-6
@@ -77,7 +78,7 @@ def test_self_transfer_fixed_point(hand6):
     x_t = eval_template(hand6, template, q)
     q_hat, diag = align_frame(hand6, template, x_t, q, AlignmentConfig())
     assert diag.final_dcd <= -1.0 + 1e-6
-    assert joint_limit_penalty(q_hat, hand6) == 0.0
+    assert joint_limit_penalty(q_hat, hand6)[0] == 0.0
     assert np.abs(q_hat - q).max() <= 1e-9
     assert diag.early_stopped and diag.steps_used <= 300
 
@@ -246,4 +247,4 @@ def test_alignment_config_validation():
     with pytest.raises(ValidationError):
         AlignmentConfig(patience=0)
     with pytest.raises(ValidationError):
-        AlignmentConfig(optimizer="newton")
+        AlignmentConfig(step_size=0.0)

@@ -6,7 +6,6 @@ from xembody import (AlignmentConfig, AugmentationSchedule, PointCloud, SpatialT
                      ValidationError, align_trajectory, augment_rep_trajectory,
                      augment_scene_cloud, build_template, clipped_growth, grid_transforms,
                      template_trajectory)
-from xembody.augment import load_transforms, save_transforms
 from xembody.funcrep import FuncRepTrajectory, WorldFuncRep
 from xembody.transforms import rotation_about_axis
 
@@ -142,18 +141,6 @@ def test_scene_cloud_mask_length_mismatch(rng):
     pc = PointCloud(rng.normal(size=(5, 3)))
     with pytest.raises(ValidationError):
         augment_scene_cloud(pc, np.ones(4, dtype=bool), SpatialTransform(), 0.5)
-
-
-def test_transform_list_round_trip(tmp_path):
-    transforms = grid_transforms(np.array([[0.1, 0.0, 0.0]]), 3, 0.05)
-    path = tmp_path / "transforms.json"
-    save_transforms(transforms, path)
-    again = load_transforms(path)
-    assert len(again) == len(transforms)
-    for a, b in zip(transforms, again):
-        assert np.allclose(a.transform.rotation, b.transform.rotation, atol=1e-12)
-        assert np.allclose(a.transform.translation, b.transform.translation, atol=1e-12)
-        assert (a.anchor_index, a.grid_i, a.grid_j) == (b.anchor_index, b.grid_i, b.grid_j)
 
 
 def test_augmented_trajectory_feeds_the_aligner(gripper1, hand6):

@@ -9,8 +9,9 @@ import pytest
 
 import helpers
 import xembody
-from xembody import serialize_embodiment, write_dataset
-from xembody.cli import main
+from xembody import AlignmentConfig, SynthConfig, serialize_embodiment, write_dataset
+from xembody import cli
+from xembody.cli import EIS_SAMPLES, MANIFEST_KEYS, RunManifest, main
 from xembody.dataset import INDEX_FORMAT, read_demonstration, read_index
 from xembody.synth import derive_frame_seed
 
@@ -332,3 +333,206 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# -- run manifest ------------------------------------------------------------
+
+REQUIRED = {"source": {"description": "src.json"}, "target": {"description": "tgt.json"},
+            "input": "in", "output": "out"}
+
+
+def with_key(doc: dict, name: str, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    section, _, key = name.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
+
+
+def parse_run(tmp_path, monkeypatch, doc: dict, flags=()) -> RunManifest:
+    """The RunManifest that `retarget --manifest <doc> <flags>` would run."""
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda command, args, transforms, **augment:
+                        seen.append(cli.load_run_manifest(args)) or 0)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert main(["retarget", "--manifest", str(path), *flags]) == 0
+    return seen[0]
+
+
+def test_empty_manifest_gives_the_dataclass_defaults(tmp_path, monkeypatch):
+    run = parse_run(tmp_path, monkeypatch, {},
+                    ["--source", "s.json", "--target", "t.json", "--input", "i", "--out", "o"])
+    assert run == RunManifest("s.json", "t.json", "i", "o")
+    assert run.alignment == AlignmentConfig()
+    assert run.synthesis == SynthConfig()
+
+
+# manifest key -> (a non-default manifest value, the setting it gives, the
+# flag argv that overrides it or None, the setting the flag gives, the setting
+# as the RunManifest holds it). eis.samples only counts with EIS on.
+KEY_CASES = {
+    "source.description": ("a.json", "a.json", ["--source", "b.json"], "b.json",
+                           lambda r: r.source_description),
+    "source.manifest": ("a.manifest.json", "a.manifest.json", None, None,
+                        lambda r: r.source_manifest),
+    "target.description": ("a.json", "a.json", ["--target", "b.json"], "b.json",
+                           lambda r: r.target_description),
+    "target.manifest": ("a.manifest.json", "a.manifest.json", None, None,
+                        lambda r: r.target_manifest),
+    "input": ("a", "a", ["--input", "b"], "b", lambda r: r.input_path),
+    "output": ("a", "a", ["--out", "b"], "b", lambda r: r.output_path),
+    "seed": (3, (3, 3), ["--seed", "0"], (0, 0), lambda r: (r.seed, r.synthesis.seed)),
+    "workers": (3, 3, ["--workers", "4"], 4, lambda r: r.workers),
+    "template.points_per_link": (8, 8, None, None, lambda r: r.points_per_link),
+    "template.seed": (5, 5, None, None, lambda r: r.template_seed),
+    "alignment.lambda": (0.25, 0.25, ["--lambda", "0"], 0.0,
+                         lambda r: r.alignment.metric.lam),
+    "alignment.epsilon": (1e-6, 1e-6, None, None, lambda r: r.alignment.metric.epsilon),
+    "alignment.w1": (2, 2.0, ["--w1", "0.5"], 0.5, lambda r: r.alignment.w1),
+    "alignment.w2": (0.5, 0.5, ["--w2", "3"], 3.0, lambda r: r.alignment.w2),
+    "alignment.max_steps": (20, 20, ["--max-steps", "30"], 30,
+                            lambda r: r.alignment.max_steps),
+    "alignment.patience": (4, 4, ["--patience", "6"], 6, lambda r: r.alignment.patience),
+    "alignment.step_size": (0.05, 0.05, None, None, lambda r: r.alignment.step_size),
+    "synthesis.tau": (0.01, 0.01, ["--tau", "0.002"], 0.002, lambda r: r.synthesis.tau),
+    "synthesis.workspace": ({"min": [-1, -1, 0], "max": [1, 1, 2]}, [[-1, -1, 0], [1, 1, 2]],
+                            None, None, lambda r: r.synthesis.workspace
+                            and [c.tolist() for c in r.synthesis.workspace]),
+    "synthesis.robot_points": (100, 100, None, None, lambda r: r.synthesis.robot_points),
+    "synthesis.output_size": (64, 64, ["--points", "32"], 32,
+                              lambda r: r.synthesis.output_size),
+    "eis.enabled": (True, EIS_SAMPLES, ["--eis"], EIS_SAMPLES, lambda r: r.eis_samples),
+    "eis.samples": (50, 50, ["--eis-samples", "60"], 60, lambda r: r.eis_samples),
+    "eis.fraction": (0.5, 0.5, ["--eis-frac", "0.25"], 0.25, lambda r: r.eis_fraction),
+}
+
+
+def test_key_cases_cover_every_manifest_key():
+    assert sorted(KEY_CASES) == sorted(MANIFEST_KEYS)
+    assert len(MANIFEST_KEYS) == 24
+
+
+@pytest.mark.parametrize("name", sorted(KEY_CASES))
+def test_manifest_key_reaches_its_field_and_its_flag_wins(tmp_path, monkeypatch, name):
+    value, want, flag, flag_want, read = KEY_CASES[name]
+    base = with_key(REQUIRED, "eis.enabled", True) if name == "eis.samples" else REQUIRED
+    got = read(parse_run(tmp_path, monkeypatch, with_key(base, name, value)))
+    assert got == want != read(parse_run(tmp_path, monkeypatch, base))
+    if flag is not None:
+        # eis.enabled: the flag turns on what the manifest turns off
+        doc = with_key(base, name, False if value is True else value)
+        assert read(parse_run(tmp_path, monkeypatch, doc, flag)) == flag_want
+
+
+def test_readme_table_lists_every_key_with_its_flag_and_default(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [[c.strip().strip("`") for c in line.strip("|").split("|")]
+            for line in readme.read_text().splitlines() if line.startswith("| ")]
+    table = {f"{section}.{key}".lstrip("."): (flag, default)
+             for section, key, flag, default in rows[2:]}
+    assert sorted(table) == sorted(MANIFEST_KEYS)
+    defaults = parse_run(tmp_path, monkeypatch, REQUIRED)
+    for name, (flag, default) in table.items():
+        assert bool(flag) == (MANIFEST_KEYS[name][0] is not None), name
+        number = default.split(" ")[0]
+        if number.replace(".", "").replace("e-", "").isdigit():
+            read = KEY_CASES[name][4]
+            assert np.ravel(read(defaults))[0] == float(number), name
+
+
+def test_manifest_with_the_bench_keys_loads(tmp_path, monkeypatch):
+    # The exact keys bench/run.py writes for its retarget and augment workloads.
+    doc = {"source": {"description": "gripper1.json"}, "target": {"description": "hand6.json"},
+           "input": "source", "output": "out", "seed": 11, "workers": 1,
+           "template": {"points_per_link": 16, "seed": 11},
+           "alignment": {"max_steps": 300},
+           "synthesis": {"robot_points": 1024, "output_size": 1024},
+           "eis": {"enabled": True, "samples": 1000}}
+    run = parse_run(tmp_path, monkeypatch, doc, ["--report", "r.json"])
+    assert (run.seed, run.synthesis.seed, run.template_seed, run.points_per_link) == (11, 11, 11, 16)
+    assert run.alignment == AlignmentConfig(max_steps=300)
+    assert run.synthesis == SynthConfig(robot_points=1024, output_size=1024, seed=11)
+    assert (run.eis_samples, run.report_path) == (1000, "r.json")
+
+
+@pytest.mark.parametrize("text", [
+    '{"alignment": {"max_steps": 3',
+    "[1]",
+    '{"alignment": 3}',
+    '{"alignment": {"optimizer": "adaptive-moments"}}',
+    '{"alignment": {"max_step": 5}}',
+    '{"template": {"variant": "standard"}}',
+    '{"alignment": {"max_steps": "lots"}}',
+    '{"alignment": {"max_steps": 5.0}}',
+    '{"seed": true}',
+    '{"eis": {"enabled": 1}}',
+    '{"alignment": {"lambda": NaN}}',
+    '{"template": {"seed": null}}',
+    '{"synthesis": {"workspace": {"min": [0, 0, 0]}}}',
+    '{"synthesis": {"workspace": {"min": [0, 0, 0], "max": [1, 1, "z"]}}}',
+    '{"alignment.max_steps": 5}',
+], ids=["bad-json", "not-an-object", "section-not-an-object", "removed-key", "typo",
+        "removed-section-key", "string-for-int", "float-for-int", "bool-for-int",
+        "int-for-bool", "nan", "null", "box-without-max", "box-with-string",
+        "dotted-top-level-key"])
+def test_malformed_manifest_exits_2_before_any_output(tmp_path, robot_files, source_dataset,
+                                                      text, capsys):
+    src, tgt = robot_files
+    manifest = tmp_path / "run.json"
+    manifest.write_text(text)
+    out = tmp_path / "out"
+    code = main(["retarget", "--source", str(src), "--target", str(tgt), "--input",
+                 str(source_dataset), "--out", str(out), "--manifest", str(manifest)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not out.exists() and not Path(str(out) + ".report.json").exists()
+
+
+# -- robot descriptions ------------------------------------------------------
+
+def _nameless_link(tmp_path, hand6):
+    doc = json.loads(serialize_embodiment(hand6))
+    del doc["links"][0]["name"]
+    path = tmp_path / "hand6.json"
+    path.write_text(json.dumps(doc))
+    return path, "'name'"
+
+
+def _workspace_without_max(tmp_path, hand6):
+    path = tmp_path / "hand6.json"
+    path.write_text(serialize_embodiment(hand6))
+    sidecar = tmp_path / "hand6.manifest.json"
+    sidecar.write_text(json.dumps({"pad_links": list(hand6.pad_links),
+                                   "workspace": {"min": [0, 0, 0]}}))
+    return sidecar, "'max'"
+
+
+def _not_an_object(tmp_path, hand6):
+    path = tmp_path / "hand6.json"
+    path.write_text("[1, 2]")
+    return path, "JSON object"
+
+
+def _missing_file(tmp_path, hand6):
+    path = tmp_path / "hand6.json"
+    return path, "No such file"
+
+
+@pytest.mark.parametrize("case", [_missing_file, _nameless_link, _workspace_without_max,
+                                  _not_an_object],
+                         ids=["missing-file", "link-without-name", "workspace-without-max",
+                              "not-an-object"])
+def test_bad_robot_description_exits_2(tmp_path, robot_files, source_dataset, hand6, case,
+                                       capsys):
+    src, _ = robot_files
+    robot_dir = tmp_path / "robot"
+    robot_dir.mkdir()
+    named, detail = case(robot_dir, hand6)
+    target = robot_dir / "hand6.json"
+    out = tmp_path / "out"
+    for argv in (["validate", str(source_dataset), "--embodiment", str(target)],
+                 retarget_args(src, target, source_dataset, out)):
+        assert main(argv) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and str(named) in last and detail in last
+    assert not out.exists()

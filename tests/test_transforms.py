@@ -55,24 +55,3 @@ def test_scale_rotation_halves_the_angle():
     axis = np.array([0.0, 0.0, 1.0])
     r = tf.rotation_about_axis(axis, 0.8)
     assert np.allclose(tf.scale_rotation(r, 0.5), tf.rotation_about_axis(axis, 0.4), atol=1e-12)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_quaternion_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    r = tf.rotation_about_axis(axis, rng.uniform(-np.pi, np.pi))
-    q = tf.quaternion_from_matrix(r)
-    assert np.isclose(np.linalg.norm(q), 1.0, atol=1e-12)
-    assert np.allclose(tf.matrix_from_quaternion(q), r, atol=1e-9)
-
-
-def test_compose_matches_homogeneous_product():
-    rng = np.random.default_rng(3)
-    ra = tf.rotation_about_axis(np.array([1.0, 0, 0]), 0.4)
-    rb = tf.rotation_about_axis(np.array([0, 1.0, 0]), -0.9)
-    ta, tb = rng.normal(size=3), rng.normal(size=3)
-    rc, tc = tf.compose(ra, ta, rb, tb)
-    assert np.allclose(tf.homogeneous(rc, tc),
-                       tf.homogeneous(ra, ta) @ tf.homogeneous(rb, tb), atol=1e-12)
