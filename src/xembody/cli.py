@@ -27,7 +27,7 @@ from .augment import (AnchoredTransform, AugmentationSchedule, augment_rep_traje
 from .chamfer import MetricConfig, _matches
 from .dataset import (DatasetIndex, IndexEntry, _load_json_object, read_demonstration,
                       read_index, write_demonstration, write_index)
-from .errors import XembodyError
+from .errors import ValidationError, XembodyError
 from .funcrep import (FunctionalTemplate, _subseed, build_template, eval_template,
                       template_trajectory)
 from .robot import Embodiment, load_embodiment
@@ -55,6 +55,12 @@ class RunManifest:
     eis_samples: int = 0  # 0 disables elite initialization
     eis_fraction: float = 0.10
     report_path: str | None = None
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValidationError(f"workers must be at least 1, got {self.workers}")
+        if not 0.0 < self.eis_fraction <= 1.0:
+            raise ValidationError(f"EIS elite fraction must be in (0, 1], got {self.eis_fraction}")
 
 
 EIS_SAMPLES = 1000  # elite-initialization draws when EIS is on without a count
@@ -158,6 +164,12 @@ def load_run_manifest(args: argparse.Namespace) -> RunManifest:
     run, eis = configs["run"], configs["eis"]
     if eis.get("enabled"):
         run["eis_samples"] = eis.get("samples", EIS_SAMPLES)
+        if run["eis_samples"] < 10:
+            raise XembodyError(f"manifest key 'eis.samples' must be at least 10, "
+                               f"got {run['eis_samples']}")
+    elif "samples" in eis or "eis_fraction" in run:
+        raise XembodyError("eis.samples and eis.fraction (--eis-samples, --eis-frac) "
+                           "need EIS turned on with eis.enabled or --eis")
     if "seed" in run:
         configs["synthesis"]["seed"] = run["seed"]
     metric = replace(AlignmentConfig().metric, **configs["metric"])
@@ -416,9 +428,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
             else:
                 q = embodiment.configuration_from_split(demo.arm_positions,
                                                         demo.ee_positions)
-                lo, hi = embodiment.lower_limits, embodiment.upper_limits
+                # Frames hold float32, and rounding to float32 is monotone: a
+                # value within the limits is stored within the rounded limits.
+                lo = embodiment.lower_limits.astype(np.float32)
+                hi = embodiment.upper_limits.astype(np.float32)
                 for d in range(embodiment.dof):
-                    if np.any(q[:, d] < lo[d] - 1e-9) or np.any(q[:, d] > hi[d] + 1e-9):
+                    if np.any(q[:, d] < lo[d]) or np.any(q[:, d] > hi[d]):
                         name = embodiment.actuated_joint_names[d]
                         findings.append({"demo": entry.demo_id,
                                          "finding": f"joint {name!r} outside limits"})

@@ -15,9 +15,9 @@ from .errors import ValidationError
 class TriMesh:
     """An indexed triangle mesh with vertices in meters.
 
-    Invariants checked on construction: at least one face, all face indices in
-    range. Winding is taken as authored; `sample_surface` fixes normal
-    orientation by majority vote against the centroid.
+    Invariants checked on construction: finite vertices, at least one face, all
+    face indices in range. Winding is taken as authored; `sample_surface` fixes
+    normal orientation by majority vote against the centroid.
     """
 
     vertices: np.ndarray  # (V, 3) float64
@@ -28,6 +28,8 @@ class TriMesh:
         f = np.asarray(self.faces, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
             raise ValidationError(f"mesh vertices must be (V, 3), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("mesh vertices must be finite")
         if f.ndim != 2 or f.shape[1] != 3 or f.shape[0] < 1:
             raise ValidationError("mesh must have at least one triangular face")
         if f.min(initial=0) < 0 or f.max(initial=-1) >= len(v):

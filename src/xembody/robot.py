@@ -93,22 +93,14 @@ class EmbodimentManifest:
         workspace = None
         if doc.get("workspace") is not None:
             ws = _object(doc["workspace"], "manifest 'workspace'")
-            lo = np.asarray(_required(ws, "min", "manifest 'workspace'"), dtype=float)
-            hi = np.asarray(_required(ws, "max", "manifest 'workspace'"), dtype=float)
-            workspace = (lo, hi)
-        rotation = np.eye(3)
-        translation = np.zeros(3)
+            workspace = tuple(_numbers(_required(ws, corner, "manifest 'workspace'"), 3,
+                                       f"manifest 'workspace' {corner!r}")
+                              for corner in ("min", "max"))
         base = _object(doc.get("world_to_base") or {}, "manifest 'world_to_base'")
-        if "rpy" in base:
-            rotation = tf.rpy_matrix(*base["rpy"])
-        elif "rotation" in base:
-            rotation = np.asarray(base["rotation"], dtype=float).reshape(3, 3)
-        if "translation" in base:
-            translation = np.asarray(base["translation"], dtype=float)
+        rotation, translation = _origin(base, "manifest 'world_to_base'")
         return EmbodimentManifest(
-            arm_joints=tuple(doc.get("arm_joints", ())),
-            ee_joints=tuple(doc.get("ee_joints", ())),
-            pad_links=tuple(doc.get("pad_links", ())),
+            **{key: _names(doc.get(key, []), f"manifest {key!r}")
+               for key in ("arm_joints", "ee_joints", "pad_links")},
             workspace=workspace,
             base_rotation=rotation,
             base_translation=translation,
@@ -150,6 +142,43 @@ def _required(doc: dict, key: str, what: str):
     if key not in doc:
         raise DescriptionError(f"{what} has no {key!r}")
     return doc[key]
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not np.isfinite(value):
+        raise DescriptionError(f"{what} must be a finite number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _numbers(value, count: int, what: str) -> np.ndarray:
+    """A JSON list of `count` finite numbers; nine may also come as 3 rows of 3."""
+    flat = value
+    if count == 9 and isinstance(value, list) and all(isinstance(row, list) for row in value):
+        flat = [x for row in value if len(row) == 3 for x in row]
+    if not isinstance(flat, list) or len(flat) != count:
+        raise DescriptionError(f"{what} must be a list of {count} numbers, "
+                               f"got {json.dumps(value)}")
+    return np.array([_number(x, what) for x in flat])
+
+
+def _names(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise DescriptionError(f"{what} must be a list of names, got {json.dumps(value)}")
+    return tuple(value)
+
+
+def _origin(doc: dict, what: str):
+    """(rotation, translation) of a JSON transform: "rpy" (3 angles) or
+    "rotation" (9 numbers), and "translation"; each defaults to identity."""
+    if "rpy" in doc:
+        rotation = tf.rpy_matrix(*_numbers(doc["rpy"], 3, f"{what} 'rpy'"))
+    elif "rotation" in doc:
+        rotation = _numbers(doc["rotation"], 9, f"{what} 'rotation'").reshape(3, 3)
+    else:
+        rotation = np.eye(3)
+    translation = _numbers(doc.get("translation", [0.0, 0.0, 0.0]), 3, f"{what} 'translation'")
+    return rotation, translation
 
 
 def _read_only(values) -> np.ndarray:
@@ -546,8 +575,8 @@ def _parse_urdf(text: str, base_dir: Path | None) -> tuple[str, list[LinkSpec], 
                 raise ValidationError(
                     f"joint {joint_name!r} is {kind} but has no lower/upper limits"
                 )
-            lower = float(limit.get("lower"))
-            upper = float(limit.get("upper"))
+            lower, upper = (_parse_floats(limit.get(bound), None, f"joint {joint_name!r}", 1)[0]
+                            for bound in ("lower", "upper"))
         joints.append(
             JointSpec(joint_name, kind, parent.get("link"), child.get("link"),
                       axis, rotation, translation, lower, upper)
@@ -599,14 +628,9 @@ def _parse_native(text: str, base_dir: Path | None):
     for k, j in enumerate(doc.get("joints", [])):
         what = f"joints[{k}]"
         joint_name = _required(_object(j, what), "name", what)
-        origin = _object(j.get("origin", {}), f"joint {joint_name!r} origin")
-        if "rpy" in origin:
-            rotation = tf.rpy_matrix(*origin["rpy"])
-        elif "rotation" in origin:
-            rotation = np.asarray(origin["rotation"], dtype=float).reshape(3, 3)
-        else:
-            rotation = np.eye(3)
-        translation = np.asarray(origin.get("translation", (0.0, 0.0, 0.0)), dtype=float)
+        what = f"joint {joint_name!r}"
+        rotation, translation = _origin(_object(j.get("origin", {}), f"{what} origin"),
+                                        f"{what} origin")
         kind = j.get("kind")
         if kind not in JOINT_KINDS:
             raise DescriptionError(
@@ -616,11 +640,11 @@ def _parse_native(text: str, base_dir: Path | None):
             raise ValidationError(f"joint {joint_name!r} is {kind} but has no limits")
         joints.append(
             JointSpec(
-                joint_name, kind, _required(j, "parent", f"joint {joint_name!r}"),
-                _required(j, "child", f"joint {joint_name!r}"),
-                np.asarray(j.get("axis", (1.0, 0.0, 0.0)), dtype=float),
+                joint_name, kind, _required(j, "parent", what), _required(j, "child", what),
+                _numbers(j.get("axis", [1.0, 0.0, 0.0]), 3, f"{what} 'axis'"),
                 rotation, translation,
-                float(j.get("lower", 0.0)), float(j.get("upper", 0.0)),
+                _number(j.get("lower", 0.0), f"{what} 'lower'"),
+                _number(j.get("upper", 0.0), f"{what} 'upper'"),
             )
         )
     manifest = None

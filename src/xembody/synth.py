@@ -1,10 +1,11 @@
 """Synthesis of target-embodiment demonstrations.
 
 Actions are next-frame joint targets from the aligned trajectory. Observations
-run a fixed point-cloud pipeline per frame: crop to the workspace box, mask
-points near the source robot's surface, add a sampled cloud of the target
-robot at its aligned configuration, then farthest-point downsample to a fixed
-size. All per-frame randomness derives from hash(global seed, demo id, frame).
+run a fixed point-cloud pipeline per frame: crop to the workspace box, remove
+the points within tau of the source robot's link triangles (an exact distance,
+no sampling), add a sampled cloud of the target robot at its aligned
+configuration, then farthest-point downsample to a fixed size. All per-frame
+randomness derives from hash(global seed, demo id, frame).
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .robot import Embodiment
 TAG_SCENE = 0
 TAG_ROBOT = 1
 
-# Masking grid bounds: the cell side grows until the padded grid has at most
-# _MASK_MAX_CELLS cells, and scene-sample pairs are tested _MASK_MAX_PAIRS at a
-# time, so memory stays bounded for any tau and robot size.
-_MASK_MAX_CELLS = 1 << 18
-_MASK_MAX_PAIRS = 1 << 17
+# Point-face pairs the mask evaluates at once: each temporary then holds at most
+# 96 KiB, below glibc's default 128 KiB mmap threshold, so none is mapped and
+# faulted in afresh on every call.
+_MASK_BLOCK = 1 << 12
 
 
 def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
@@ -123,7 +123,7 @@ class SynthConfig:
 
     tau: float = 0.005  # source-robot masking distance, meters
     workspace: tuple | None = None  # (min, max) corners; falls back to the source manifest
-    robot_points: int = 4096  # samples per robot for masking/augmentation
+    robot_points: int = 4096  # samples in the target robot's cloud
     output_size: int = 1024
     seed: int = 0
 
@@ -166,98 +166,86 @@ def crop_workspace(pc: PointCloud, box) -> PointCloud:
     return pc.take(np.flatnonzero(keep))
 
 
-def mask_robot_points(pc: PointCloud, robot_samples, tau: float) -> PointCloud:
-    """Remove points strictly closer than `tau` to any robot sample.
+def mask_robot_points(pc: PointCloud, robot: Embodiment, q: np.ndarray,
+                      tau: float) -> PointCloud:
+    """Remove points strictly closer than `tau` to a link triangle of `robot` at `q`.
 
-    Exact, with no tree: scene points outside the samples' box grown by one
-    cell are kept at once; the rest are tested against the samples in the 27
-    cells around their own, on a grid whose cell side is at least 1.01 * tau,
-    so every pair closer than tau lands in neighbouring cells. Each distance
-    is sqrt((dx² + dy²) + dz²), the order in which scipy's cKDTree.query sums
-    it, so the survivors match a KD-tree nearest-neighbour mask bit for bit.
+    Each meshed link is tested in its own frame: the points move there by
+    (p - t) @ R, those outside the link's vertex box grown by tau are kept at
+    once, and the rest are kept when their exact distance to the link's
+    triangles is at least tau.
     """
-    robot_points = robot_samples.points if isinstance(robot_samples, PointCloud) \
-        else np.asarray(robot_samples, dtype=float)
-    if robot_points.ndim != 2 or robot_points.shape[1] != 3:
-        raise ValidationError(f"robot samples must be an (R, 3) array, got shape "
-                              f"{robot_points.shape}")
-    if len(robot_points) == 0:
-        raise ValidationError("robot sample cloud must be non-empty")
-    samples = [np.ascontiguousarray(robot_points[:, k]) for k in range(3)]
-    lo = [float(c.min()) for c in samples]
-    hi = [float(c.max()) for c in samples]
-    if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):
-        raise ValidationError("robot samples must be finite")
     if not 0.0 < tau < math.inf:
         raise ValidationError(f"masking distance must be positive and finite, got {tau}")
-    if len(pc) == 0:
-        return pc
-    return pc.take(np.flatnonzero(~_near_samples(pc.points, samples, lo, hi, tau)))
+    poses = forward_kinematics(robot, q)
+    meshes = [(i, link.mesh) for i, link in enumerate(robot.links) if link.mesh is not None]
+    if not meshes:
+        raise ValidationError(f"embodiment {robot.name!r} has no link geometry to mask against")
+    near = np.zeros(len(pc), dtype=bool)
+    for i, mesh in meshes:
+        r, t = poses.pose_of(i)
+        local = (pc.points - t) @ r
+        in_box = np.all((local >= mesh.vertices.min(axis=0) - tau)
+                        & (local <= mesh.vertices.max(axis=0) + tau), axis=1)
+        candidates = np.flatnonzero(in_box & ~near)
+        if len(candidates):
+            near[candidates] = _surface_distance(local[candidates], mesh.triangles) < tau
+    return pc.take(np.flatnonzero(~near))
 
 
-def _near_samples(points, samples, lo, hi, tau: float) -> np.ndarray:
-    """(M,) bool: points strictly closer than tau to some sample.
+def _surface_distance(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """(N,) distance from each point to the nearest of the (F, 3, 3) triangles.
 
-    `samples` holds the x, y and z columns, `lo` and `hi` their bounds.
+    The closest point of a triangle is the projection onto its plane when that
+    falls inside, else the nearest point of one of its edges (the regions of
+    Ericson, Real-Time Collision Detection, 5.1.5). All four candidates are
+    points of the triangle and the nearest is taken, so zero-area and
+    collinear faces, whose projection is ill-conditioned, fall to their
+    edges. Vectors are stacked by axis, (3, rows, faces), dot products are
+    summed axis by axis as in `_pair_costs`, and at most _MASK_BLOCK
+    point-face pairs are evaluated at a time.
     """
-    side = max(1.01 * tau, max(b - a for a, b in zip(lo, hi)) / _MASK_MAX_CELLS)
-    cells = [math.floor((b - a) / side) + 1 for a, b in zip(lo, hi)]
-    # Two empty cells pad each side, so the neighbours of every (clipped)
-    # candidate cell index the table without bounds checks.
-    while math.prod(n + 4 for n in cells) > _MASK_MAX_CELLS:
-        side *= 2.0
-        cells = [math.floor((b - a) / side) + 1 for a, b in zip(lo, hi)]
-    dims = [n + 4 for n in cells]
-    strides = (dims[1] * dims[2], dims[2], 1)
-    pad = 2 * sum(strides)
+    a, b, c = (np.ascontiguousarray(triangles[:, k].T) for k in range(3))  # (3, F) each
+    ab, ac, bc = b - a, c - a, c - b
+    ab2, ac2, ab_ac = _dot(ab, ab), _dot(ac, ac), _dot(ab, ac)
+    det = ab2 * ac2 - ab_ac * ab_ac  # (2 area)², 0 for a degenerate face
+    inverses = [np.divide(1.0, x, out=np.zeros_like(x), where=x > 0)
+                for x in (ab2, ac2, _dot(bc, bc), det)]
+    best = np.full(len(points), np.inf)
+    for f0 in range(0, len(det), _MASK_BLOCK):
+        faces = slice(f0, f0 + _MASK_BLOCK)
+        rows = max(1, _MASK_BLOCK // len(det[faces]))
+        fa, fab, fac, fbc = (x[:, None, faces] for x in (a, ab, ac, bc))
+        fab2, fac2, fab_ac = (x[None, faces] for x in (ab2, ac2, ab_ac))
+        inv_ab, inv_ac, inv_bc, inv_det = (x[None, faces] for x in inverses)
+        for r0 in range(0, len(points), rows):
+            ap = points[r0:r0 + rows].T[:, :, None] - fa  # (3, rows, faces)
+            d1, d2 = _dot(ap, fab), _dot(ap, fac)
+            # Barycentric (v, w) of the projection: the 2x2 normal equations.
+            v = (fac2 * d1 - fab_ac * d2) * inv_det
+            w = (fab2 * d2 - fab_ac * d1) * inv_det
+            # With det 0, v = w = 0 and the candidate is vertex a.
+            inside = (v >= 0.0) & (w >= 0.0) & (v + w <= 1.0)
+            off_plane = ap - v * fab - w * fac
+            sq = np.where(inside, _dot(off_plane, off_plane), np.inf)
+            np.minimum(sq, _segment_sq(ap, d1, fab, inv_ab), out=sq)
+            np.minimum(sq, _segment_sq(ap, d2, fac, inv_ac), out=sq)
+            bp = ap - fab
+            np.minimum(sq, _segment_sq(bp, _dot(bp, fbc), fbc, inv_bc), out=sq)
+            np.minimum(best[r0:r0 + rows], sq.min(axis=1), out=best[r0:r0 + rows])
+    return np.sqrt(best)
 
-    inside = np.ones(len(points), dtype=bool)
-    for k in range(3):
-        inside &= (points[:, k] >= lo[k] - side) & (points[:, k] <= hi[k] + side)
-    candidates = np.flatnonzero(inside)
-    near = np.zeros(len(points), dtype=bool)
-    if len(candidates) == 0:
-        return near
 
-    keys = np.full(len(samples[0]), pad, dtype=np.int64)
-    for k in range(3):
-        keys += np.floor((samples[k] - lo[k]) / side).astype(np.int64) * strides[k]
-    order = np.argsort(keys)
-    starts = np.zeros(math.prod(dims) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=len(starts) - 1), out=starts[1:])
-    sorted_samples = [c[order] for c in samples]
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    cand = [np.ascontiguousarray(points[candidates, k]) for k in range(3)]
-    keys = np.full(len(candidates), pad, dtype=np.int64)
-    for k in range(3):
-        cell = np.floor((cand[k] - lo[k]) / side).astype(np.int64)
-        keys += np.clip(cell, -1, cells[k], out=cell) * strides[k]
-    # Along z the three neighbour cells are adjacent keys, so each of the nine
-    # (x, y) neighbour columns is one run of sorted samples.
-    columns = keys[:, None] + np.array([dx * strides[0] + dy * strides[1]
-                                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
-    begin = starts[columns - 1].ravel()
-    length = starts[columns + 2].ravel() - begin
-    runs = np.flatnonzero(length)
-    begin, length, owner_of_run = begin[runs], length[runs], runs // 9
-    stop = np.cumsum(length)
-    total = int(stop[-1]) if len(stop) else 0
-    for first in range(0, total, _MASK_MAX_PAIRS):
-        last = min(first + _MASK_MAX_PAIRS, total)
-        window = slice(np.searchsorted(stop, first, side="right"),
-                       np.searchsorted(stop, last, side="left") + 1)
-        run_start = stop[window] - length[window]
-        counts = np.minimum(stop[window], last) - np.maximum(run_start, first)
-        pos = np.repeat(begin[window] - run_start, counts)
-        pos += np.arange(first, last)
-        owner = np.repeat(owner_of_run[window], counts)
-        d = cand[0][owner] - sorted_samples[0][pos]
-        sq = d * d
-        for k in (1, 2):
-            np.subtract(cand[k][owner], sorted_samples[k][pos], out=d)
-            sq += d * d
-        near[candidates[owner[np.sqrt(sq, out=sq) < tau]]] = True
-    return near
+
+def _segment_sq(u, d, edge, inv):
+    """Squared distance to a segment: `u` runs from its start to the point,
+    `d` = u . edge, `inv` = 1 / (edge . edge), or 0 for a zero-length edge."""
+    s = np.minimum(np.maximum(d * inv, 0.0), 1.0)
+    off_edge = u - s * edge
+    return _dot(off_edge, off_edge)
 
 
 def sample_robot_cloud(e: Embodiment, q: np.ndarray, count: int, seed: int) -> PointCloud:
@@ -334,9 +322,7 @@ def synthesize_observation(scene: PointCloud, source: Embodiment, source_q: np.n
     seed = cfg.seed if frame_seed is None else frame_seed
 
     cropped = crop_workspace(scene, box)
-    source_cloud = sample_robot_cloud(source, source_q, cfg.robot_points,
-                                      _subseed(seed, "mask"))
-    masked = mask_robot_points(cropped, source_cloud, cfg.tau)
+    masked = mask_robot_points(cropped, source, source_q, cfg.tau)
     if masked.tags is None:
         masked = PointCloud(masked.points, np.full(len(masked), TAG_SCENE, dtype=np.uint8))
     augmented = sample_robot_cloud(target, target_q, cfg.robot_points,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -30,6 +31,49 @@ def oracle_link_poses(e: Embodiment, q: np.ndarray) -> dict:
     return poses
 
 
+def surface_distance_reference(points, e: Embodiment, q) -> np.ndarray:
+    """Dense, slow oracle for the source-robot mask: each point's distance to
+    every triangle of every meshed link, posed by `oracle_link_poses` in the
+    world frame, one pair at a time in Python floats."""
+    poses = oracle_link_poses(e, np.asarray(q, dtype=float))
+    triangles = []
+    for link in e.links:
+        if link.mesh is not None:
+            m = poses[link.name]
+            triangles.extend((link.mesh.triangles @ m[:3, :3].T + m[:3, 3]).tolist())
+    return np.array([min(point_triangle_distance_reference(p, *t) for t in triangles)
+                     for p in np.asarray(points, dtype=float).tolist()])
+
+
+def point_triangle_distance_reference(p, a, b, c) -> float:
+    """Distance from p to triangle abc: the nearest point of its three edges or,
+    when the projection onto its plane falls inside, that projection. Each
+    candidate is a point of the triangle, so a zero-area or collinear face
+    reduces to its edges."""
+    def sub(u, v):
+        return [u[k] - v[k] for k in range(3)]
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    def segment(start, end):
+        e = sub(end, start)
+        length2 = dot(e, e)
+        s = 0.0 if length2 == 0 else min(1.0, max(0.0, dot(sub(p, start), e) / length2))
+        return math.dist(p, [start[k] + s * e[k] for k in range(3)])
+
+    best = min(segment(a, b), segment(b, c), segment(c, a))
+    ab, ac, ap = sub(b, a), sub(c, a), sub(p, a)
+    # Cramer's rule on the normal equations of the projection a + v ab + w ac.
+    g11, g12, g22, r1, r2 = dot(ab, ab), dot(ab, ac), dot(ac, ac), dot(ab, ap), dot(ac, ap)
+    det = g11 * g22 - g12 * g12
+    if det > 0:
+        v, w = (g22 * r1 - g12 * r2) / det, (g11 * r2 - g12 * r1) / det
+        if v >= 0 and w >= 0 and v + w <= 1:
+            best = min(best, math.dist(p, [a[k] + v * ab[k] + w * ac[k] for k in range(3)]))
+    return best
+
+
 def translate_mesh(mesh: TriMesh, offset) -> TriMesh:
     return TriMesh(mesh.vertices + np.asarray(offset, dtype=float), mesh.faces)
 
@@ -44,6 +88,32 @@ def pad_plate(half_x: float, half_z: float, normal_y: float) -> TriMesh:
     ])
     faces = np.array([[0, 2, 1], [0, 3, 2]]) if normal_y > 0 else np.array([[0, 1, 2], [0, 2, 3]])
     return TriMesh(v, faces)
+
+
+def grid_box_mesh(half: float, n: int) -> TriMesh:
+    """A cube of half side `half` centred at the origin, each face split into
+    n x n squares of two triangles: 12 n² faces over the surface of a box."""
+    ticks = np.linspace(-half, half, n + 1)
+    u, v = np.meshgrid(ticks, ticks, indexing="ij")
+    vertices, faces = [], []
+    for axis in range(3):
+        for side in (-half, half):
+            grid = np.empty((n + 1, n + 1, 3))
+            grid[..., axis] = side
+            grid[..., (axis + 1) % 3] = u
+            grid[..., (axis + 2) % 3] = v
+            idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1) + len(vertices) * (n + 1) ** 2
+            a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
+            faces += [np.stack(corners, -1).reshape(-1, 3) for corners in ((a, b, c), (a, c, d))]
+            vertices.append(grid.reshape(-1, 3))
+    return TriMesh(np.concatenate(vertices), np.concatenate(faces))
+
+
+def box_surface_distance(points, half: float) -> np.ndarray:
+    """Distance from each point to the surface of the cube |x|, |y|, |z| <= half."""
+    excess = np.abs(np.asarray(points, dtype=float)) - half
+    outside = np.linalg.norm(np.maximum(excess, 0.0), axis=1)
+    return np.where(np.all(excess <= 0.0, axis=1), -excess.max(axis=1), outside)
 
 
 def build_planar2(link_length: float = 1.0, with_geometry: bool = False) -> Embodiment:

@@ -13,10 +13,11 @@ import pytest
 from scipy.optimize import minimize
 
 import helpers
-from xembody import (AlignmentConfig, MetricConfig, align_frame, build_template, dcd,
-                     eis_initialize, eval_template, fps_downsample, functional_similarity,
-                     grid_transforms, joint_limit_penalty, mask_robot_points,
-                     serialize_embodiment, template_trajectory, write_dataset)
+from xembody import (AlignmentConfig, LinkSpec, MetricConfig, align_frame, box_mesh,
+                     build_embodiment, build_template, dcd, eis_initialize, eval_template,
+                     fps_downsample, functional_similarity, grid_transforms,
+                     joint_limit_penalty, mask_robot_points, serialize_embodiment,
+                     template_trajectory, write_dataset)
 from xembody.align import minimize_with_patience
 from xembody.augment import SpatialTransform, augment_rep_trajectory
 from xembody.chamfer import _pair_costs
@@ -334,11 +335,11 @@ def test_c08_observation_pipeline():
                                      hand.mid_range_configuration(), cfg)
         assert len(out) == 1024
 
-    # masking semantics at tau = 5mm
-    robot = PointCloud(np.zeros((1, 3)))
-    scene = PointCloud(np.array([[0.004, 0, 0], [0.006, 0, 0]]))
-    survivors = mask_robot_points(scene, robot, 0.005)
-    assert np.allclose(survivors.points, [[0.006, 0, 0]])
+    # masking semantics at tau = 5mm, against a one-link box robot
+    box = build_embodiment("box", [LinkSpec("base", box_mesh((0.02, 0.02, 0.02)))], [])
+    scene = PointCloud(np.array([[0.024, 0, 0], [0.026, 0, 0]]))
+    survivors = mask_robot_points(scene, box, np.zeros(0), 0.005)
+    assert np.allclose(survivors.points, [[0.026, 0, 0]])
 
     # FPS equals the quadratic greedy oracle on clouds <= 64 points
     for trial in range(10):

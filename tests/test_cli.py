@@ -287,6 +287,30 @@ def test_validate_finds_limit_violation(tmp_path, gripper1, robot_files, capsys)
     assert all(f["demo"] == "bad" for f in report["findings"])
 
 
+def test_validate_accepts_configurations_at_the_limits(tmp_path, hand6, robot_files, capsys):
+    # float32(0.075) is 0.0750000030: a demo at its limits must still validate.
+    _, tgt = robot_files
+    lo, hi = hand6.lower_limits, hand6.upper_limits
+    demos = {name: helpers.make_source_demo(hand6, np.tile(q, (3, 1)), n_table=20, n_object=4)
+             for name, q in (("lower", lo), ("upper", hi))}
+    write_dataset(demos, tmp_path / "ok")
+    assert main(["validate", str(tmp_path / "ok"), "--embodiment", str(tgt)]) == 0
+    capsys.readouterr()
+
+    # One float32 step beyond a limit is flagged, on either side.
+    one_step = {}
+    for name, q, d, away in (("below", lo, 0, -np.inf), ("above", hi, 2, np.inf)):
+        beyond = q.copy()
+        beyond[d] = np.nextafter(np.float32(q[d]), np.float32(away))
+        one_step[name] = helpers.make_source_demo(hand6, np.tile(beyond, (3, 1)),
+                                                  n_table=20, n_object=4)
+    write_dataset(one_step, tmp_path / "bad")
+    assert main(["validate", str(tmp_path / "bad"), "--embodiment", str(tgt)]) == 1
+    findings = {(f["demo"], f["finding"]) for f in json.loads(capsys.readouterr().out)["findings"]}
+    assert findings == {("below", "joint 'thumb_slide' outside limits"),
+                        ("above", "joint 'finger_l_slide' outside limits")}
+
+
 def test_inspect_round_trip(tmp_path, robot_files, source_dataset, capsys):
     src, tgt = robot_files
     out = tmp_path / "out"
@@ -415,7 +439,8 @@ def test_key_cases_cover_every_manifest_key():
 @pytest.mark.parametrize("name", sorted(KEY_CASES))
 def test_manifest_key_reaches_its_field_and_its_flag_wins(tmp_path, monkeypatch, name):
     value, want, flag, flag_want, read = KEY_CASES[name]
-    base = with_key(REQUIRED, "eis.enabled", True) if name == "eis.samples" else REQUIRED
+    base = with_key(REQUIRED, "eis.enabled", True) if name in ("eis.samples", "eis.fraction") \
+        else REQUIRED
     got = read(parse_run(tmp_path, monkeypatch, with_key(base, name, value)))
     assert got == want != read(parse_run(tmp_path, monkeypatch, base))
     if flag is not None:
@@ -471,10 +496,19 @@ def test_manifest_with_the_bench_keys_loads(tmp_path, monkeypatch):
     '{"synthesis": {"workspace": {"min": [0, 0, 0]}}}',
     '{"synthesis": {"workspace": {"min": [0, 0, 0], "max": [1, 1, "z"]}}}',
     '{"alignment.max_steps": 5}',
+    '{"eis": {"samples": 50}}',
+    '{"eis": {"enabled": false, "fraction": 0.5}}',
+    '{"eis": {"enabled": true, "samples": 9}}',
+    '{"eis": {"enabled": true, "samples": 0}}',
+    '{"eis": {"enabled": true, "fraction": 0}}',
+    '{"eis": {"enabled": true, "fraction": 1.5}}',
+    '{"workers": 0}',
 ], ids=["bad-json", "not-an-object", "section-not-an-object", "removed-key", "typo",
         "removed-section-key", "string-for-int", "float-for-int", "bool-for-int",
         "int-for-bool", "nan", "null", "box-without-max", "box-with-string",
-        "dotted-top-level-key"])
+        "dotted-top-level-key", "eis-samples-without-eis", "eis-fraction-without-eis",
+        "eis-samples-below-10", "eis-samples-zero", "eis-fraction-zero",
+        "eis-fraction-above-1", "no-workers"])
 def test_malformed_manifest_exits_2_before_any_output(tmp_path, robot_files, source_dataset,
                                                       text, capsys):
     src, tgt = robot_files
@@ -483,6 +517,21 @@ def test_malformed_manifest_exits_2_before_any_output(tmp_path, robot_files, sou
     out = tmp_path / "out"
     code = main(["retarget", "--source", str(src), "--target", str(tgt), "--input",
                  str(source_dataset), "--out", str(out), "--manifest", str(manifest)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not out.exists() and not Path(str(out) + ".report.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eis-samples", "50"], ["--eis-frac", "0.5"], ["--eis", "--eis-samples", "5"],
+    ["--eis", "--eis-frac", "0"], ["--workers", "-3"],
+], ids=["eis-samples-without-eis", "eis-frac-without-eis", "eis-samples-below-10",
+        "eis-frac-zero", "negative-workers"])
+def test_malformed_run_flags_exit_2_before_any_output(tmp_path, robot_files, source_dataset,
+                                                      flags, capsys):
+    src, tgt = robot_files
+    out = tmp_path / "out"
+    code = main(retarget_args(src, tgt, source_dataset, out) + flags)
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
     assert not out.exists() and not Path(str(out) + ".report.json").exists()
@@ -498,15 +547,6 @@ def _nameless_link(tmp_path, hand6):
     return path, "'name'"
 
 
-def _workspace_without_max(tmp_path, hand6):
-    path = tmp_path / "hand6.json"
-    path.write_text(serialize_embodiment(hand6))
-    sidecar = tmp_path / "hand6.manifest.json"
-    sidecar.write_text(json.dumps({"pad_links": list(hand6.pad_links),
-                                   "workspace": {"min": [0, 0, 0]}}))
-    return sidecar, "'max'"
-
-
 def _not_an_object(tmp_path, hand6):
     path = tmp_path / "hand6.json"
     path.write_text("[1, 2]")
@@ -518,10 +558,54 @@ def _missing_file(tmp_path, hand6):
     return path, "No such file"
 
 
-@pytest.mark.parametrize("case", [_missing_file, _nameless_link, _workspace_without_max,
-                                  _not_an_object],
-                         ids=["missing-file", "link-without-name", "workspace-without-max",
-                              "not-an-object"])
+def _sidecar_field(key, value, detail):
+    """hand6 with a sidecar manifest whose `key` is `value`."""
+    def case(tmp_path, hand6):
+        (tmp_path / "hand6.json").write_text(serialize_embodiment(hand6))
+        sidecar = tmp_path / "hand6.manifest.json"
+        sidecar.write_text(json.dumps({"pad_links": list(hand6.pad_links), key: value}))
+        return sidecar, detail
+    return case
+
+
+def _joint_field(key, value, detail):
+    """The first joint with `key` (an origin key when it is one) set to `value`."""
+    def case(tmp_path, hand6):
+        doc = json.loads(serialize_embodiment(hand6))
+        joint = doc["joints"][0]
+        if key in ("rpy", "rotation", "translation"):
+            joint["origin"] = {key: value}
+        else:
+            joint[key] = value
+        path = tmp_path / "hand6.json"
+        path.write_text(json.dumps(doc))
+        return path, detail
+    return case
+
+
+BAD_DESCRIPTIONS = {
+    "missing-file": _missing_file,
+    "link-without-name": _nameless_link,
+    "workspace-without-max": _sidecar_field("workspace", {"min": [0, 0, 0]}, "'max'"),
+    "not-an-object": _not_an_object,
+    "workspace-corner-of-2": _sidecar_field(
+        "workspace", {"min": [0, 0], "max": [1, 1, 1]}, "'workspace' 'min'"),
+    "workspace-corner-with-string": _sidecar_field(
+        "workspace", {"min": [0, 0, 0], "max": [1, 1, "z"]}, "'workspace' 'max'"),
+    "base-rpy-of-2": _sidecar_field("world_to_base", {"rpy": [0, 0]}, "'world_to_base' 'rpy'"),
+    "base-rotation-of-3": _sidecar_field("world_to_base", {"rotation": [1, 0, 0]},
+                                         "'world_to_base' 'rotation'"),
+    "pad-links-not-names": _sidecar_field("pad_links", [1, 2], "'pad_links'"),
+    "pad-links-a-string": _sidecar_field("pad_links", "thumb_pad", "'pad_links'"),
+    "joint-rpy-of-2": _joint_field("rpy", [0, 0], "origin 'rpy'"),
+    "joint-rotation-of-4": _joint_field("rotation", [1, 0, 0, 1], "origin 'rotation'"),
+    "joint-translation-of-2": _joint_field("translation", [0, 0], "origin 'translation'"),
+    "joint-axis-of-2": _joint_field("axis", [0, 1], "'axis'"),
+    "joint-lower-a-string": _joint_field("lower", "x", "'lower'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DESCRIPTIONS.values(), ids=BAD_DESCRIPTIONS.keys())
 def test_bad_robot_description_exits_2(tmp_path, robot_files, source_dataset, hand6, case,
                                        capsys):
     src, _ = robot_files

@@ -75,6 +75,9 @@ def test_mesh_validation():
         TriMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))  # index out of range
     with pytest.raises(ValidationError):
         box_mesh((1.0, 0.0, 1.0))  # non-positive half extent
+    for bad in (np.nan, np.inf):  # non-finite vertex
+        with pytest.raises(ValidationError):
+            TriMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, bad, 0]]), np.array([[0, 1, 2]]))
 
 
 def test_obj_round_trip_and_fan_triangulation():

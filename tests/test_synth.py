@@ -1,19 +1,18 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 import helpers
-from xembody import (AlignedTrajectory, PointCloud, SynthConfig, ValidationError,
-                     align_trajectory, build_template, crop_workspace, fps_downsample,
-                     generate_actions, mask_robot_points, sample_robot_cloud, sample_surface,
+from xembody import (AlignedTrajectory, EmbodimentManifest, JointSpec, LinkSpec, PointCloud,
+                     SynthConfig, TriMesh, ValidationError, align_trajectory, build_embodiment,
+                     build_template, crop_workspace, fps_downsample, generate_actions,
+                     mask_robot_points, sample_robot_cloud, sample_surface,
                      synthesize_demonstration, synthesize_observation, template_trajectory)
-from xembody import synth
 from xembody.align import FrameDiagnostics
+from xembody.transforms import rotation_about_axis
 from xembody.synth import TAG_ROBOT, TAG_SCENE, _fps_indices, derive_frame_seed
 
 
@@ -62,142 +61,198 @@ def test_crop_matches_bruteforce_oracle(rng):
     assert np.array_equal(out.points, np.array(expected))
 
 
+def one_link_robot(mesh):
+    """A robot of one link at the identity pose."""
+    return build_embodiment("onelink", [LinkSpec("base", mesh)], [])
+
+
+# A unit square at y = 0 over x, z in [0, 1], one corner at the origin.
+UNIT_PLATE = TriMesh(np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 1], [0, 0, 1]]),
+                     np.array([[0, 1, 2], [0, 2, 3]]))
+
+
 def test_mask_threshold_semantics():
-    robot = PointCloud(np.zeros((1, 3)))
-    scene = PointCloud(np.array([[0.004, 0, 0], [0.006, 0, 0], [0.005, 0, 0]]))
-    out = mask_robot_points(scene, robot, tau=0.005)
+    robot = one_link_robot(UNIT_PLATE)
+    scene = PointCloud(np.array([[0.5, 0.004, 0.25], [0.5, 0.006, 0.25], [0.5, 0.005, 0.25]]))
+    out = mask_robot_points(scene, robot, np.zeros(0), tau=0.005)
     # strict <: the 4mm point goes, the 5mm and 6mm points stay
-    assert np.allclose(out.points[:, 0], [0.006, 0.005])
+    assert np.array_equal(out.points[:, 1], [0.006, 0.005])
 
 
-def test_mask_matches_bruteforce_oracle(rng):
-    scene = PointCloud(rng.normal(size=(200, 3)) * 0.05)
-    robot = rng.normal(size=(40, 3)) * 0.05
-    tau = 0.02
-    out = mask_robot_points(scene, robot, tau)
-    dists = np.linalg.norm(scene.points[:, None] - robot[None], axis=2).min(axis=1)
-    assert np.array_equal(out.points, scene.points[dists >= tau])
+def scene_around(e, q, rng, tau):
+    """Table points, surface samples of every link of `e` at `q`, and those
+    samples moved by up to 2 tau, so every distance band is populated."""
+    samples = sample_robot_cloud(e, q, 300, seed=int(rng.integers(2**31))).points
+    jitter = rng.normal(size=samples.shape)
+    jitter *= rng.uniform(0, 2 * tau, (len(samples), 1)) / np.linalg.norm(jitter, axis=1,
+                                                                         keepdims=True)
+    return np.vstack([helpers.table_scene(rng, 200, 60).points, samples, samples + jitter])
 
 
-def test_mask_monotone_in_tau(rng):
-    scene = PointCloud(rng.normal(size=(150, 3)) * 0.05)
-    robot = rng.normal(size=(30, 3)) * 0.05
-    small = mask_robot_points(scene, robot, 0.01)
-    large = mask_robot_points(scene, robot, 0.03)
+def test_mask_matches_bruteforce_oracle(rng, gripper1, hand6):
+    for e, tau in ((gripper1, 0.002), (gripper1, 0.02), (hand6, 0.005)):
+        q = helpers.random_config(rng, e)
+        scene = scene_around(e, q, rng, tau)
+        out = mask_robot_points(PointCloud(scene), e, q, tau)
+        dist = helpers.surface_distance_reference(scene, e, q)
+        assert np.array_equal(out.points, scene[dist >= tau])
+
+
+def test_mask_monotone_in_tau(rng, hand6):
+    q = hand6.mid_range_configuration()
+    scene = PointCloud(scene_around(hand6, q, rng, 0.03))
+    small = mask_robot_points(scene, hand6, q, 0.01)
+    large = mask_robot_points(scene, hand6, q, 0.03)
     small_set = {tuple(p) for p in small.points}
     assert all(tuple(p) in small_set for p in large.points)
+    assert len(large) < len(small) < len(scene)
 
 
 def test_mask_requires_robot_points():
-    with pytest.raises(ValidationError):
-        mask_robot_points(PointCloud(np.zeros((1, 3))), np.zeros((0, 3)), 0.005)
+    # A robot without link geometry has no surface to mask against.
+    bare = helpers.build_planar2()
+    for scene_size in (0, 3):
+        with pytest.raises(ValidationError, match="no link geometry"):
+            mask_robot_points(PointCloud(np.zeros((scene_size, 3))), bare, np.zeros(2), 0.005)
 
 
-def _mask_reference(points, samples, tau):
-    """The KD-tree mask the cell grid replaced; survivors must match bit for bit."""
-    distances, _ = cKDTree(samples).query(points)
-    return points[distances >= tau]
+def random_mesh(rng, scale):
+    """Random triangles plus a zero-area face (one vertex thrice), one with a
+    repeated corner and one whose corners are collinear."""
+    vertices = rng.normal(size=(int(rng.integers(3, 7)), 3)) * scale
+    faces = rng.integers(0, len(vertices), (int(rng.integers(1, 6)), 3))
+    a, b = vertices[0], vertices[1]
+    vertices = np.vstack([vertices, a + rng.uniform(-0.5, 1.5) * (b - a)])
+    faces = np.vstack([faces, [[2, 2, 2], [0, 1, 1], [0, 1, len(vertices) - 1]]])
+    return TriMesh(vertices, faces[rng.permutation(len(faces))])
+
+
+def random_rotation(rng):
+    axis = rng.normal(size=3)
+    return rotation_about_axis(axis / np.linalg.norm(axis), rng.uniform(-np.pi, np.pi))
 
 
 @st.composite
-def mask_cases(draw):
-    """A scene, robot samples, tau and grid limits. Coarse coordinates sit on a
-    1 mm lattice, so many pairs lie at exactly tau or one rounding step off;
-    small limits force a grown cell side and many pair windows."""
+def robot_mask_cases(draw):
+    """A random chain of 1-3 links with random meshes (some bare), rotated
+    joint origins and a rotated, shifted base; a configuration; tau; and
+    points on, near and around every link."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    robot_scale = draw(st.sampled_from([1e-3, 0.05, 1.0]))
-    samples = rng.normal(size=(draw(st.integers(1, 400)), 3)) * robot_scale
-    scene = np.vstack([
-        rng.normal(size=(draw(st.integers(0, 400)), 3)) * 2 * robot_scale,
-        samples[rng.integers(0, len(samples), draw(st.integers(0, 100)))]
-        + rng.normal(size=3) * draw(st.sampled_from([0.0, 1e-3, 5e-3])),
-    ])
-    if draw(st.booleans()):
-        scene, samples = np.round(scene, 3), np.round(samples, 3)
+    scale = draw(st.sampled_from([1e-3, 0.05, 1.0]))
     tau = draw(st.sampled_from([1e-6, 1e-3, 0.005, 0.02, 0.3, 3.0]))
-    max_cells = draw(st.sampled_from([synth._MASK_MAX_CELLS, 200]))
-    max_pairs = draw(st.sampled_from([synth._MASK_MAX_PAIRS, 64, 1009]))
-    return scene, samples, tau, max_cells, max_pairs
+    n_links = draw(st.integers(1, 3))
+    bare = draw(st.lists(st.booleans(), min_size=n_links, max_size=n_links))
+    bare[draw(st.integers(0, n_links - 1))] = False
+    links = [LinkSpec(f"l{k}", None if bare[k] else random_mesh(rng, scale))
+             for k in range(n_links)]
+    joints = [JointSpec(f"j{k}", draw(st.sampled_from(["revolute", "prismatic", "fixed"])),
+                        f"l{k}", f"l{k + 1}", axis=rng.normal(size=3),
+                        origin_rotation=random_rotation(rng),
+                        origin_translation=rng.normal(size=3) * scale, lower=-1.0, upper=1.0)
+              for k in range(n_links - 1)]
+    manifest = EmbodimentManifest(
+        base_rotation=random_rotation(rng),
+        base_translation=rng.normal(size=3))
+    e = build_embodiment("random", links, joints, manifest)
+    q = rng.uniform(-1.0, 1.0, e.dof) * scale
+
+    poses = helpers.oracle_link_poses(e, q)
+    points = []
+    for link in e.links:
+        if link.mesh is None:
+            continue
+        tri = link.mesh.triangles[rng.integers(0, len(link.mesh.faces), 40)]
+        bary = rng.dirichlet(np.ones(3), 40)
+        on_surface = np.einsum("nk,nkj->nj", bary, tri)
+        offsets = rng.normal(size=(40, 3))
+        offsets *= rng.uniform(0, 2 * tau, (40, 1)) / np.linalg.norm(offsets, axis=1,
+                                                                   keepdims=True)
+        lo = link.mesh.vertices.min(axis=0) - 2 * tau
+        hi = link.mesh.vertices.max(axis=0) + 2 * tau
+        local = np.vstack([on_surface, on_surface + offsets, rng.uniform(lo, hi, (40, 3))])
+        m = poses[link.name]
+        points.append(local @ m[:3, :3].T + m[:3, 3])
+    return e, q, np.vstack(points), tau
 
 
-# This offset's squared distance rounds to a lower last bit summed as
-# (dx² + dy²) + dz², cKDTree's order, than in either other order; tau is the
-# higher value, so only the KD-tree order removes the point.
-LAST_BIT_OFFSET = (np.array([[-0.004, 0.005, 0.001]]), np.zeros((1, 3)), 0.006480740698407861,
-                   synth._MASK_MAX_CELLS, synth._MASK_MAX_PAIRS)
+@settings(max_examples=120, deadline=None)
+@given(case=robot_mask_cases())
+def test_mask_matches_dense_triangle_reference(case):
+    e, q, points, tau = case
+    out = mask_robot_points(PointCloud(points), e, q, tau)
+    dist = helpers.surface_distance_reference(points, e, q)
+    assert np.array_equal(out.points, points[dist >= tau])
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=mask_cases())
-@example(case=LAST_BIT_OFFSET)
-def test_mask_matches_kdtree_reference(case):
-    scene, samples, tau, max_cells, max_pairs = case
-    if case is LAST_BIT_OFFSET:
-        assert len(_mask_reference(scene, samples, tau)) == 0
-    with mock.patch.object(synth, "_MASK_MAX_CELLS", max_cells), \
-            mock.patch.object(synth, "_MASK_MAX_PAIRS", max_pairs):
-        out = mask_robot_points(PointCloud(scene), samples, tau)
-    assert np.array_equal(out.points, _mask_reference(scene, samples, tau))
+def test_mask_removes_every_surface_sample(rng, gripper1, hand6):
+    # No source-robot point survives, and no point at distance >= tau goes.
+    tau = 0.005
+    for e in (gripper1, hand6):
+        q = helpers.random_config(rng, e)
+        samples = sample_robot_cloud(e, q, 3000, seed=int(rng.integers(2**31)))
+        assert len(mask_robot_points(samples, e, q, tau)) == 0
+        scene = scene_around(e, q, rng, tau)
+        kept = {tuple(p) for p in mask_robot_points(PointCloud(scene), e, q, tau).points}
+        far = scene[helpers.surface_distance_reference(scene, e, q) >= tau]
+        assert len(far) > 0 and all(tuple(p) in kept for p in far)
 
 
 @pytest.mark.parametrize("tau", [1e-6, 0.005, 0.0123, 0.7])
 def test_mask_boundary_at_tau(tau):
-    # A point at exactly tau stays; one a rounding step closer goes, on every
-    # axis and on both sides of the sample.
+    # A point at exactly tau stays; one a rounding step closer goes: above and
+    # below the plate's interior and beyond two of its edges, in its plane.
     inside = np.nextafter(tau, 0.0)
-    offsets = np.vstack([np.eye(3) * tau, -np.eye(3) * tau,
-                         np.eye(3) * inside, -np.eye(3) * inside])
-    out = mask_robot_points(PointCloud(offsets), np.zeros((1, 3)), tau)
-    assert np.array_equal(out.points, offsets[:6])
+    offsets = [[0.5, tau, 0.25], [0.25, -tau, 0.5], [-tau, 0.0, 0.5], [0.5, 0.0, -tau]]
+    points = np.vstack([offsets, np.where(np.abs(offsets) == tau,
+                                          np.sign(offsets) * inside, offsets)])
+    out = mask_robot_points(PointCloud(points), one_link_robot(UNIT_PLATE), np.zeros(0), tau)
+    assert np.array_equal(out.points, points[:4])
 
 
-def _peak_mask_bytes(scene, samples, tau):
+def _peak_mask_bytes(scene, robot, tau):
     tracemalloc.start()
     try:
-        out = mask_robot_points(PointCloud(scene), samples, tau)
+        out = mask_robot_points(PointCloud(scene), robot, np.zeros(0), tau)
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_mask_tau_beyond_the_robot_runs_in_bounded_memory(rng):
-    # Every scene-sample pair is a candidate: 4M pairs, tested in windows.
-    samples = rng.uniform(-0.01, 0.01, (1000, 3))
-    scene = rng.uniform(-1.0, 1.0, (4000, 3))
-    out, peak = _peak_mask_bytes(scene, samples, 0.5)
-    assert np.array_equal(out.points, _mask_reference(scene, samples, 0.5))
+    # Every point is a candidate for every one of 1,728 faces: 3.5M pairs.
+    robot = one_link_robot(helpers.grid_box_mesh(0.01, 12))
+    scene = rng.uniform(-0.5, 0.5, (2000, 3))
+    out, peak = _peak_mask_bytes(scene, robot, 0.5)
+    assert np.array_equal(out.points, scene[helpers.box_surface_distance(scene, 0.01) >= 0.5])
     assert 0 < len(out) < len(scene)
     assert peak < 24 * 2**20
 
 
 def test_mask_tiny_tau_over_a_large_robot_runs_in_bounded_memory(rng):
-    # A 1 m robot at tau = 1 um would need 1e18 cells of side tau.
-    samples = rng.uniform(0.0, 1.0, (3000, 3))
-    near = samples[:200] + rng.uniform(-4e-7, 4e-7, (200, 3))
-    scene = np.vstack([near, rng.uniform(-0.1, 1.1, (2000, 3))])
-    out, peak = _peak_mask_bytes(scene, samples, 1e-6)
-    assert np.array_equal(out.points, _mask_reference(scene, samples, 1e-6))
+    # A 1 m box of 1,728 faces at tau = 1 um: every point inside the box is a
+    # candidate for every face; points within 0.7 um of the surface go.
+    robot = one_link_robot(helpers.grid_box_mesh(0.5, 12))
+    surface = sample_robot_cloud(robot, np.zeros(0), 200, seed=3).points
+    near = surface + rng.uniform(-4e-7, 4e-7, (200, 3))
+    scene = np.vstack([near, rng.uniform(-0.6, 0.6, (2000, 3))])
+    out, peak = _peak_mask_bytes(scene, robot, 1e-6)
+    assert np.array_equal(out.points, scene[helpers.box_surface_distance(scene, 0.5) >= 1e-6])
     assert len(out) <= len(scene) - 200
     assert peak < 24 * 2**20
 
 
-@pytest.mark.parametrize("samples", [
-    np.array([[0.0, 0.0, np.nan]]),
-    np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]),
-    np.array([[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
-    np.zeros((4, 2)),
-    np.zeros(3),
-], ids=["nan", "inf", "span-overflows", "two-columns", "flat"])
+@pytest.mark.parametrize("q", [[np.nan], [np.inf], [0.0, 0.0], [[0.0]], 0.0],
+                         ids=["nan", "inf", "two-entries", "two-dimensional", "scalar"])
 @pytest.mark.parametrize("scene_size", [0, 3])
-def test_mask_rejects_malformed_robot_samples(samples, scene_size):
+def test_mask_rejects_bad_configuration(gripper1, q, scene_size):
     with pytest.raises(ValidationError):
-        mask_robot_points(PointCloud(np.zeros((scene_size, 3))), samples, 0.005)
+        mask_robot_points(PointCloud(np.zeros((scene_size, 3))), gripper1, q, 0.005)
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.005, np.inf, np.nan])
-def test_mask_rejects_bad_tau(tau):
+def test_mask_rejects_bad_tau(gripper1, tau):
     with pytest.raises(ValidationError):
-        mask_robot_points(PointCloud(np.zeros((1, 3))), np.zeros((1, 3)), tau)
+        mask_robot_points(PointCloud(np.zeros((1, 3))), gripper1, np.array([-0.01]), tau)
     with pytest.raises(ValidationError):
         SynthConfig(tau=tau)
 
@@ -386,8 +441,7 @@ def test_observation_equals_stage_composition(gripper1, hand6):
     got = synthesize_observation(scene, gripper1, source_q, hand6, target_q, cfg, frame_seed)
 
     cropped = crop_workspace(scene, gripper1.workspace)
-    source_cloud = sample_robot_cloud(gripper1, source_q, 256, _subseed(frame_seed, "mask"))
-    masked = mask_robot_points(cropped, source_cloud, cfg.tau)
+    masked = mask_robot_points(cropped, gripper1, source_q, cfg.tau)
     augmented = sample_robot_cloud(hand6, target_q, 256, _subseed(frame_seed, "augment"))
     union = PointCloud(np.vstack([masked.points, augmented.points]),
                        np.concatenate([np.full(len(masked), TAG_SCENE, np.uint8),
