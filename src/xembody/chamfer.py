@@ -130,19 +130,6 @@ def functional_similarity(x: WorldFuncRep, xp: WorldFuncRep,
     return -dcd(x, xp, cfg)
 
 
-def dcd_cotangent(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig | None = None):
-    """Gradient of `dcd` with respect to X' points and directions.
-
-    The recorded argmin correspondences are held fixed (piecewise-smooth
-    subgradient at ties). Direction gradients are ambient 3-vectors; callers
-    that need tangency get it for free from the rotational pullback.
-    Returns (d_points (N', 3), d_directions (N', 3)).
-    """
-    cfg = cfg or MetricConfig()
-    fwd, bwd, _, _ = _matches(x, xp, cfg)
-    return _cotangent_from_matches(x, xp, cfg, fwd, bwd)
-
-
 def dcd_value_and_cotangent(x: WorldFuncRep, xp: WorldFuncRep,
                             cfg: MetricConfig | None = None):
     """One-pass (value, d_points, d_directions) for optimizer inner loops."""

@@ -276,17 +276,16 @@ def ingest_recorded_log(log_path: str | Path, e: Embodiment, workspace_box) -> D
         crop_workspace(PointCloud(np.asarray(data[f"cloud_{t:06d}"], dtype=float)), workspace_box)
         for t in range(length)
     )
+    arm_positions, ee_positions = e.split_configuration(joints)
     arm_targets, ee_targets = generate_actions(joints, e)
-    arm = np.array(e.arm_indices, dtype=np.int64)
-    ee = np.array(e.ee_indices, dtype=np.int64)
     initial_state = {}
     if "initial_state" in data:
         initial_state = json.loads(str(data["initial_state"]))
     return Demonstration(
         embodiment=e.name,
         clouds=clouds,
-        arm_positions=joints[:, arm],
-        ee_positions=joints[:, ee],
+        arm_positions=arm_positions,
+        ee_positions=ee_positions,
         arm_targets=arm_targets,
         ee_targets=ee_targets,
         initial_state=initial_state,

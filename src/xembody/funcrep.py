@@ -9,29 +9,23 @@ joint trajectory yields the trajectory the optimizer aligns against.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .kinematics import evaluate_world_set
-from .robot import Embodiment, sample_link_surface
-
-VARIANTS = ("standard", "reduced", "random-dropped")
+from .mesh import sample_surface
+from .robot import Embodiment
 
 
 @dataclass(frozen=True, eq=False)
 class FunctionalTemplate:
-    """Link-local point/normal pairs plus their sampling provenance."""
+    """Link-local point/normal pairs, one link name per entry."""
 
     link_names: tuple[str, ...]  # one per entry
     points: np.ndarray  # (N, 3) link-local, meters
     normals: np.ndarray  # (N, 3) unit
-    variant: str = "standard"
-    pad_links: tuple[str, ...] = ()
-    count_per_link: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
@@ -48,36 +42,6 @@ class FunctionalTemplate:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "link_ids": list(self.link_names),
-                "points": [[float(v) for v in row] for row in self.points],
-                "normals": [[float(v) for v in row] for row in self.normals],
-                "variant": self.variant,
-                "source": {
-                    "pad_links": list(self.pad_links),
-                    "count_per_link": self.count_per_link,
-                    "seed": self.seed,
-                },
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "FunctionalTemplate":
-        doc = json.loads(text)
-        source = doc.get("source", {})
-        return FunctionalTemplate(
-            link_names=tuple(doc["link_ids"]),
-            points=np.asarray(doc["points"], dtype=float),
-            normals=np.asarray(doc["normals"], dtype=float),
-            variant=doc.get("variant", "standard"),
-            pad_links=tuple(source.get("pad_links", ())),
-            count_per_link=int(source.get("count_per_link", 0)),
-            seed=int(source.get("seed", 0)),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,67 +86,29 @@ class FuncRepTrajectory:
         return self.frames[t]
 
 
-def build_template(
-    e: Embodiment,
-    pad_links,
-    count_per_link: int,
-    seed: int,
-    variant: str = "standard",
-    reduced_radius: float | None = None,
-    drop_fraction: float = 0.5,
-) -> FunctionalTemplate:
-    """Sample a functional template from the given finger-pad links.
+def build_template(e: Embodiment, pad_links, count_per_link: int,
+                   seed: int) -> FunctionalTemplate:
+    """Sample `count_per_link` area-weighted point/normal pairs from each pad link.
 
-    Variants: "standard" keeps the full area-weighted sample; "reduced" keeps
-    only points within `reduced_radius` of each pad's area centroid;
-    "random-dropped" removes a seeded random `drop_fraction` of the standard
-    entries. Reduced and random-dropped sets are subsets of the standard set
-    built with the same seed.
+    Each pad draws from its own stream, `_subseed(seed, pad)`, so a pad's
+    samples do not depend on which other pads are listed.
     """
     pad_links = tuple(pad_links)
     if not pad_links:
         raise ValidationError("at least one pad link is required")
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown template variant {variant!r} (one of {VARIANTS})")
-    if variant == "reduced" and (reduced_radius is None or reduced_radius <= 0):
-        raise ValidationError("the reduced variant needs a positive reduced_radius")
-
     names: list[str] = []
     points: list[np.ndarray] = []
     normals: list[np.ndarray] = []
-    for link_name in pad_links:
-        p, n = sample_link_surface(e, link_name, count_per_link, _subseed(seed, link_name))
-        if variant == "reduced":
-            centroid = e.link(link_name).mesh.area_centroid()
-            keep = np.linalg.norm(p - centroid, axis=1) <= reduced_radius
-            p, n = p[keep], n[keep]
-        names.extend([link_name] * len(p))
+    for pad in pad_links:
+        mesh = e.link(pad).mesh
+        if mesh is None:
+            raise ValidationError(f"link {pad!r} has no geometry to sample")
+        rng = np.random.default_rng(_subseed(seed, pad))
+        p, n, _ = sample_surface(mesh, count_per_link, rng)
+        names.extend([pad] * len(p))
         points.append(p)
         normals.append(n)
-    all_points = np.concatenate(points)
-    all_normals = np.concatenate(normals)
-
-    if variant == "random-dropped":
-        rng = np.random.default_rng(seed)
-        keep_count = len(all_points) - int(round(drop_fraction * len(all_points)))
-        if keep_count < 1:
-            raise ValidationError("drop fraction leaves no template entries")
-        keep = np.sort(rng.choice(len(all_points), size=keep_count, replace=False))
-        names = [names[i] for i in keep]
-        all_points = all_points[keep]
-        all_normals = all_normals[keep]
-    elif len(all_points) < 1:
-        raise ValidationError("reduced radius excluded every sampled point")
-
-    return FunctionalTemplate(
-        link_names=tuple(names),
-        points=all_points,
-        normals=all_normals,
-        variant=variant,
-        pad_links=pad_links,
-        count_per_link=count_per_link,
-        seed=seed,
-    )
+    return FunctionalTemplate(tuple(names), np.concatenate(points), np.concatenate(normals))
 
 
 def _subseed(seed: int, role: str) -> int:

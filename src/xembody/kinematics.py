@@ -139,12 +139,6 @@ def forward_kinematics(e: Embodiment, q: np.ndarray) -> LinkPoseSet:
     return LinkPoseSet(rot, trans)
 
 
-def forward_kinematics_batch(e: Embodiment, qs: np.ndarray):
-    """FK over a (B, dof) batch; returns ((B, L, 3, 3), (B, L, 3))."""
-    rot, trans, _, _ = _fk_frames(e, _check_batch(e, qs))
-    return rot, trans
-
-
 def _check_batch(e: Embodiment, qs: np.ndarray) -> np.ndarray:
     qs = np.asarray(qs, dtype=float)
     if qs.ndim != 2 or qs.shape[1] != e.dof:
@@ -245,25 +239,3 @@ def evaluate_with_pullback(e: Embodiment, q: np.ndarray, link_indices: np.ndarra
 
     return world_points, world_dirs, pullback
 
-
-def pullback_to_joints(e: Embodiment, q: np.ndarray, link_ids, points: np.ndarray,
-                       normals: np.ndarray, d_points: np.ndarray,
-                       d_normals: np.ndarray) -> np.ndarray:
-    """Contract world-frame cotangents back to a joint-space gradient.
-
-    Given dL/d(world point) and dL/d(world direction) for the evaluated set,
-    returns the exact dL/dq of length dof for the composition
-    evaluate_world_set(forward_kinematics(q)).
-    """
-    q = e.check_configuration(q)
-    idx = _resolve_link_indices(e, link_ids)
-    points = np.asarray(points, dtype=float)
-    normals = np.asarray(normals, dtype=float)
-    d_points = np.asarray(d_points, dtype=float)
-    d_normals = np.asarray(d_normals, dtype=float)
-    if d_points.shape != points.shape or d_normals.shape != normals.shape:
-        raise ValidationError("cotangent shapes must match the evaluated set")
-    if not (np.all(np.isfinite(d_points)) and np.all(np.isfinite(d_normals))):
-        raise ValidationError("cotangent contains non-finite entries")
-    _, _, pullback = evaluate_with_pullback(e, q, idx, points, normals)
-    return pullback(d_points, d_normals)

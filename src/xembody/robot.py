@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DescriptionError, StructureError, ValidationError
-from .mesh import TriMesh, box_mesh, load_mesh_file, sample_surface
+from .mesh import TriMesh, box_mesh, load_mesh_file
 from . import transforms as tf
 
 JOINT_KINDS = ("revolute", "prismatic", "fixed")
@@ -162,6 +162,19 @@ def _numbers(value, count: int, what: str) -> np.ndarray:
     return np.array([_number(x, what) for x in flat])
 
 
+def _rows(value, what: str, integer: bool = False) -> np.ndarray:
+    """A JSON list of rows of 3 numbers, or of 3 integers when `integer`."""
+    kinds, kind = ((int,), "integers") if integer else ((int, float), "numbers")
+    if not isinstance(value, list):
+        raise DescriptionError(f"{what} must be a list of rows of 3 {kind}, "
+                               f"got {json.dumps(value)}")
+    for k, row in enumerate(value):
+        if not (isinstance(row, list) and len(row) == 3
+                and all(isinstance(x, kinds) and not isinstance(x, bool) for x in row)):
+            raise DescriptionError(f"{what} row {k} must be 3 {kind}, got {json.dumps(row)}")
+    return np.array(value, dtype=np.int64 if integer else float).reshape(-1, 3)
+
+
 def _names(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
         raise DescriptionError(f"{what} must be a list of names, got {json.dumps(value)}")
@@ -253,13 +266,28 @@ class Embodiment:
             raise ValidationError("configuration contains non-finite entries")
         return q
 
+    @cached_property
+    def _split_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array(self.arm_indices, dtype=np.int64),
+                np.array(self.ee_indices, dtype=np.int64))
+
+    def split_configuration(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(arm, ee) blocks of dof-order configurations; the inverse of
+        `configuration_from_split`. Works on one configuration or (L, dof) stacks."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim < 1 or q.shape[-1] != self.dof:
+            raise ValidationError(f"configuration shape {q.shape} does not match dof "
+                                  f"{self.dof} of embodiment {self.name!r}")
+        arm, ee = self._split_indices
+        return q[..., arm], q[..., ee]
+
     def configuration_from_split(self, arm_values: np.ndarray,
                                  ee_values: np.ndarray) -> np.ndarray:
         """Scatter (arm, ee) proprioception blocks back into dof order.
 
         Works on single configurations or (L, dof) stacks. The inverse of
-        indexing with `arm_indices`/`ee_indices`; arm and ee joints may
-        interleave in the depth-first dof order.
+        `split_configuration`; arm and ee joints may interleave in the
+        depth-first dof order.
         """
         arm_values = np.asarray(arm_values, dtype=float)
         ee_values = np.asarray(ee_values, dtype=float)
@@ -271,8 +299,9 @@ class Embodiment:
                 f"({len(self.arm_indices)} arm, {len(self.ee_indices)} ee)"
             )
         q = np.empty(arm_values.shape[:-1] + (self.dof,))
-        q[..., np.array(self.arm_indices, dtype=np.int64)] = arm_values
-        q[..., np.array(self.ee_indices, dtype=np.int64)] = ee_values
+        arm, ee = self._split_indices
+        q[..., arm] = arm_values
+        q[..., ee] = ee_values
         return q
 
 
@@ -437,19 +466,6 @@ def validate_embodiment(e: Embodiment) -> list[str]:
     return problems
 
 
-def sample_link_surface(e: Embodiment, link_name: str, count: int, seed: int):
-    """Area-weighted surface samples of one link: (points, outward unit normals).
-
-    Points and normals are in the link-local frame; deterministic per seed.
-    """
-    link = e.link(link_name)
-    if link.mesh is None:
-        raise ValidationError(f"link {link_name!r} has no geometry to sample")
-    rng = np.random.default_rng(seed)
-    points, normals, _ = sample_surface(link.mesh, count, rng)
-    return points, normals
-
-
 # ---------------------------------------------------------------------------
 # URDF subset
 # ---------------------------------------------------------------------------
@@ -596,17 +612,21 @@ def _geometry_from_native(doc: dict | None, what: str, base_dir: Path | None) ->
         return None
     kind = _object(doc, f"{what} geometry").get("type")
     if kind == "box":
-        return box_mesh(np.asarray(_required(doc, "half_extents", what), dtype=float))
+        return box_mesh(_numbers(_required(doc, "half_extents", what), 3,
+                                 f"{what} 'half_extents'"))
     if kind == "mesh":
-        return TriMesh(np.asarray(_required(doc, "vertices", what), dtype=float),
-                       np.asarray(_required(doc, "faces", what), dtype=np.int64))
+        return TriMesh(_rows(_required(doc, "vertices", what), f"{what} 'vertices'"),
+                       _rows(_required(doc, "faces", what), f"{what} 'faces'", integer=True))
     if kind == "mesh_file":
-        path = Path(_required(doc, "path", what))
+        path = _required(doc, "path", what)
+        if not isinstance(path, str):
+            raise DescriptionError(f"{what} 'path' must be a string, got {json.dumps(path)}")
+        path = Path(path)
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
         mesh = load_mesh_file(path)
         if "scale" in doc:
-            mesh = mesh.scaled(float(doc["scale"]))
+            mesh = mesh.scaled(_number(doc["scale"], f"{what} 'scale'"))
         return mesh
     raise DescriptionError(f"unknown geometry type {kind!r}", element=what)
 

@@ -147,15 +147,13 @@ def derive_frame_seed(global_seed: int, demo_id: str, frame_index: int) -> int:
     return _subseed(global_seed, f"{demo_id}:{frame_index}")
 
 
-def generate_actions(aligned: AlignedTrajectory | np.ndarray, e: Embodiment):
-    """Actions a_t = q_{t+1} (hold-last at the end), split into arm/ee targets."""
-    configs = aligned.configs if isinstance(aligned, AlignedTrajectory) else np.asarray(aligned)
+def generate_actions(configs: np.ndarray, e: Embodiment):
+    """Actions a_t = q_{t+1} (hold-last at the end) of an (L, dof) trajectory,
+    split into arm/ee targets."""
+    configs = np.asarray(configs)
     if configs.ndim != 2 or len(configs) < 1:
         raise ValidationError("aligned trajectory must be a non-empty (L, dof) array")
-    targets = np.vstack([configs[1:], configs[-1:]])
-    arm = np.array(e.arm_indices, dtype=np.int64)
-    ee = np.array(e.ee_indices, dtype=np.int64)
-    return targets[:, arm], targets[:, ee]
+    return e.split_configuration(np.vstack([configs[1:], configs[-1:]]))
 
 
 def crop_workspace(pc: PointCloud, box) -> PointCloud:
@@ -342,9 +340,8 @@ def synthesize_demonstration(source_demo: Demonstration, source: Embodiment,
         raise ValidationError(
             f"aligned trajectory has {len(aligned)} frames, source demo has {length}"
         )
-    arm = np.array(target.arm_indices, dtype=np.int64)
-    ee = np.array(target.ee_indices, dtype=np.int64)
-    arm_targets, ee_targets = generate_actions(aligned, target)
+    arm_positions, ee_positions = target.split_configuration(aligned.configs)
+    arm_targets, ee_targets = generate_actions(aligned.configs, target)
     source_configs = source.configuration_from_split(source_demo.arm_positions,
                                                      source_demo.ee_positions)
 
@@ -358,8 +355,8 @@ def synthesize_demonstration(source_demo: Demonstration, source: Embodiment,
     return Demonstration(
         embodiment=target.name,
         clouds=tuple(clouds),
-        arm_positions=aligned.configs[:, arm],
-        ee_positions=aligned.configs[:, ee],
+        arm_positions=arm_positions,
+        ee_positions=ee_positions,
         arm_targets=arm_targets,
         ee_targets=ee_targets,
         initial_state=dict(source_demo.initial_state),

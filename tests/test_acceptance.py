@@ -24,7 +24,8 @@ from xembody.chamfer import _pair_costs
 from xembody.cli import main
 from xembody.dataset import read_demonstration, read_index
 from xembody.funcrep import WorldFuncRep
-from xembody.kinematics import evaluate_world_set, forward_kinematics, pullback_to_joints
+from xembody.kinematics import (_resolve_link_indices, evaluate_with_pullback,
+                                evaluate_world_set, forward_kinematics)
 from xembody.synth import PointCloud
 
 
@@ -118,12 +119,11 @@ def _align_loss_and_grad(e, template, x_t, metric):
     def grad(q):
         from xembody.chamfer import dcd_value_and_cotangent
 
-        pts, dirs = evaluate_world_set(e, q, template.link_names, template.points,
-                                       template.normals)
+        pts, dirs, pullback = evaluate_with_pullback(
+            e, q, _resolve_link_indices(e, template.link_names), template.points,
+            template.normals)
         _, dp, dd = dcd_value_and_cotangent(x_t, WorldFuncRep(pts, dirs), metric)
-        return pullback_to_joints(e, q, template.link_names, template.points,
-                                  template.normals, dp, dd) \
-            + joint_limit_penalty(q, e)[1]
+        return pullback(dp, dd) + joint_limit_penalty(q, e)[1]
 
     return loss, grad
 

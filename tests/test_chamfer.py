@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from xembody import (MetricConfig, ValidationError, chamfer, dcd, dcd_cotangent,
-                     functional_similarity)
-from xembody.chamfer import _matches, _pair_costs, _smooth_norm
+from xembody import MetricConfig, ValidationError, chamfer, dcd, functional_similarity
+from xembody.chamfer import _matches, _pair_costs, _smooth_norm, dcd_value_and_cotangent
 from xembody.funcrep import WorldFuncRep
 
 
@@ -237,7 +236,7 @@ def test_pair_costs_match_einsum_reference(case):
 def test_cotangent_identical_sets_smoothed(rng):
     x = helpers.random_funcrep(rng, 9)
     cfg = MetricConfig(0.5, 1e-9)
-    d_points, d_dirs = dcd_cotangent(x, x, cfg)
+    _, d_points, d_dirs = dcd_value_and_cotangent(x, x, cfg)
     n = len(x)
     assert np.allclose(d_points, 0.0, atol=1e-15)
     expected = -cfg.lam * (1.0 / n + 1.0 / n) * x.directions
@@ -247,7 +246,7 @@ def test_cotangent_identical_sets_smoothed(rng):
 def test_cotangent_single_pair_lambda_zero():
     x = pair([0, 0, 0], [0, 0, 1])
     xp = pair([1, 0, 0], [0, 0, 1])
-    d_points, d_dirs = dcd_cotangent(x, xp, MetricConfig(0.0, 0.0))
+    _, d_points, d_dirs = dcd_value_and_cotangent(x, xp, MetricConfig(0.0, 0.0))
     assert np.allclose(d_points, [[2.0, 0.0, 0.0]], atol=1e-15)
     assert np.array_equal(d_dirs, np.zeros((1, 3)))
 
@@ -258,7 +257,7 @@ def test_cotangent_matches_finite_differences(seed):
     x = helpers.random_funcrep(rng, int(rng.integers(2, 8)))
     xp = helpers.random_funcrep(rng, int(rng.integers(2, 8)))
     cfg = MetricConfig(0.5, 1e-9)
-    d_points, d_dirs = dcd_cotangent(x, xp, cfg)
+    _, d_points, d_dirs = dcd_value_and_cotangent(x, xp, cfg)
 
     h = 1e-7
     fd_points = np.zeros_like(d_points)

@@ -583,6 +583,37 @@ def _joint_field(key, value, detail):
     return case
 
 
+def _link_geometry(edit_geometry, detail):
+    """The first meshed link with its geometry changed by `edit_geometry`."""
+    def case(tmp_path, hand6):
+        doc = json.loads(serialize_embodiment(hand6))
+        link = next(l for l in doc["links"] if l["geometry"] is not None)
+        link["geometry"] = edit_geometry(link["geometry"], tmp_path)
+        path = tmp_path / "hand6.json"
+        path.write_text(json.dumps(doc))
+        return path, detail
+    return case
+
+
+def _string_vertex(geometry, tmp_path):
+    geometry["vertices"][0][0] = "x"
+    return geometry
+
+
+def _float_face(geometry, tmp_path):
+    geometry["faces"][0][0] = 0.5
+    return geometry
+
+
+def _string_half_extent(geometry, tmp_path):
+    return {"type": "box", "half_extents": [0.01, "a", 0.01]}
+
+
+def _string_scale(geometry, tmp_path):
+    (tmp_path / "link.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    return {"type": "mesh_file", "path": "link.obj", "scale": "big"}
+
+
 BAD_DESCRIPTIONS = {
     "missing-file": _missing_file,
     "link-without-name": _nameless_link,
@@ -602,6 +633,10 @@ BAD_DESCRIPTIONS = {
     "joint-translation-of-2": _joint_field("translation", [0, 0], "origin 'translation'"),
     "joint-axis-of-2": _joint_field("axis", [0, 1], "'axis'"),
     "joint-lower-a-string": _joint_field("lower", "x", "'lower'"),
+    "link-vertex-a-string": _link_geometry(_string_vertex, "'vertices' row 0"),
+    "link-face-a-float": _link_geometry(_float_face, "'faces' row 0"),
+    "link-half-extent-a-string": _link_geometry(_string_half_extent, "'half_extents'"),
+    "link-scale-a-string": _link_geometry(_string_scale, "'scale'"),
 }
 
 

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 import helpers
 from xembody import (FunctionalTemplate, ValidationError, eval_template, evaluate_world_set,
-                     forward_kinematics, forward_kinematics_batch, pullback_to_joints,
-                     template_trajectory)
-from xembody.kinematics import _fk_frames
+                     forward_kinematics, template_trajectory)
+from xembody.kinematics import _fk_frames, _resolve_link_indices, evaluate_with_pullback
 from xembody.robot import EmbodimentManifest, JointSpec, LinkSpec, build_embodiment
 from xembody.transforms import homogeneous, rotation_about_axis
 
@@ -128,21 +127,28 @@ def test_dimension_mismatch_raises(planar2):
 def test_batch_fk_matches_single(planar2):
     rng = np.random.default_rng(2)
     qs = rng.uniform(-1, 1, size=(16, 2))
-    rot, trans = forward_kinematics_batch(planar2, qs)
+    ids = [1, 2, 2]
+    pts = rng.normal(size=(3, 3))
+    nrm = rng.normal(size=(3, 3))
+    points, dirs = evaluate_world_set(planar2, qs, ids, pts, nrm)
     for b in range(len(qs)):
-        poses = forward_kinematics(planar2, qs[b])
-        assert np.array_equal(rot[b], poses.rotations)
-        assert np.array_equal(trans[b], poses.translations)
+        single_points, single_dirs = evaluate_world_set(planar2, qs[b], ids, pts, nrm)
+        assert np.array_equal(points[b], single_points)
+        assert np.array_equal(dirs[b], single_dirs)
+
+
+def _batch_world_set(e, qs):
+    return evaluate_world_set(e, qs, [0], np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def test_batch_fk_rejects_bad_configurations(hand6):
     with pytest.raises(ValidationError, match="non-finite"):
-        forward_kinematics_batch(hand6, np.full((2, 6), np.nan))
+        _batch_world_set(hand6, np.full((2, 6), np.nan))
     with pytest.raises(ValidationError, match="non-finite"):
-        forward_kinematics_batch(hand6, np.array([np.zeros(6), [0, 0, np.inf, 0, 0, 0]]))
-    for shape in ((6,), (2, 5), (2, 2, 6)):
+        _batch_world_set(hand6, np.array([np.zeros(6), [0, 0, np.inf, 0, 0, 0]]))
+    for shape in ((5,), (2, 5), (2, 2, 6)):
         with pytest.raises(ValidationError, match="does not match dof"):
-            forward_kinematics_batch(hand6, np.zeros(shape))
+            _batch_world_set(hand6, np.zeros(shape))
 
 
 def test_batch_world_set_needs_one_link_id_per_point(hand6):
@@ -224,8 +230,15 @@ def test_unknown_link_id_raises(planar2):
         evaluate_world_set(planar2, np.zeros(2), ["nope"], np.zeros((1, 3)), np.zeros((1, 3)))
 
 
+def _pullback(e, q, link_ids, points, normals, d_points, d_normals):
+    """dL/dq from world-frame cotangents, through the closure alignment runs."""
+    idx = _resolve_link_indices(e, link_ids)
+    _, _, pullback = evaluate_with_pullback(e, q, idx, points, normals)
+    return pullback(d_points, d_normals)
+
+
 def test_pullback_zero_cotangent_is_zero(planar2):
-    g = pullback_to_joints(planar2, np.array([0.3, -0.2]), ["link2"],
+    g = _pullback(planar2, np.array([0.3, -0.2]), ["link2"],
                            np.array([[0.5, 0, 0]]), np.array([[0, 0, 1.0]]),
                            np.zeros((1, 3)), np.zeros((1, 3)))
     assert np.array_equal(g, np.zeros(2))
@@ -241,7 +254,7 @@ def test_pullback_lever_arm_identity():
     world_p, _ = evaluate_world_set(e, q, ["a"], np.array([[r, 0, 0]]), np.array([[0, 0, 1.0]]))
     tangent = np.cross([0, 0, 1.0], world_p[0])
     tangent /= np.linalg.norm(tangent)
-    g = pullback_to_joints(e, q, ["a"], np.array([[r, 0, 0]]), np.array([[0, 0, 1.0]]),
+    g = _pullback(e, q, ["a"], np.array([[r, 0, 0]]), np.array([[0, 0, 1.0]]),
                            tangent[None, :], np.zeros((1, 3)))
     assert np.isclose(abs(g[0]), r, atol=1e-9)
 
@@ -258,7 +271,7 @@ def test_pullback_matches_finite_differences(seed):
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     cp = rng.normal(size=(n, 3))
     cn = rng.normal(size=(n, 3))
-    grad = pullback_to_joints(e, q, ids, pts, nrm, cp, cn)
+    grad = _pullback(e, q, ids, pts, nrm, cp, cn)
 
     def scalar(qv):
         wp, wn = evaluate_world_set(e, qv, ids, pts, nrm)
@@ -272,9 +285,3 @@ def test_pullback_matches_finite_differences(seed):
     scale = max(np.abs(fd).max(), 1e-9)
     assert np.abs(grad - fd).max() / scale <= 1e-5
 
-
-def test_pullback_shape_mismatch(planar2):
-    with pytest.raises(ValidationError):
-        pullback_to_joints(planar2, np.zeros(2), ["link2"],
-                           np.zeros((1, 3)), np.zeros((1, 3)),
-                           np.zeros((2, 3)), np.zeros((1, 3)))

@@ -5,8 +5,8 @@ import pytest
 
 import helpers
 from xembody import (DescriptionError, EmbodimentManifest, JointSpec, LinkSpec,
-                     StructureError, ValidationError, box_mesh, parse_robot_description,
-                     sample_link_surface, serialize_embodiment, validate_embodiment)
+                     StructureError, ValidationError, box_mesh, build_template,
+                     parse_robot_description, serialize_embodiment, validate_embodiment)
 from xembody.robot import Embodiment, load_embodiment
 
 PLANAR2_URDF = """
@@ -179,14 +179,15 @@ def test_validate_flags_partition_gaps(planar2):
 
 
 def test_sample_link_surface(gripper1):
-    points, normals = sample_link_surface(gripper1, "fixed_pad", 40, seed=3)
+    template = build_template(gripper1, ["fixed_pad"], 40, seed=3)
+    points, normals = template.points, template.normals
     assert points.shape == (40, 3) and normals.shape == (40, 3)
     assert np.allclose(points[:, 1], 0.0, atol=1e-12)  # plate plane (link frame)
     assert np.allclose(normals, [[0, 1, 0]] * 40, atol=1e-12)
-    with pytest.raises(ValidationError):
-        sample_link_surface(helpers.build_planar2(), "tip", 4, seed=0)
+    with pytest.raises(ValidationError, match="no geometry"):
+        build_template(helpers.build_planar2(), ["tip"], 4, seed=0)
     with pytest.raises(KeyError):
-        sample_link_surface(gripper1, "nope", 4, seed=0)
+        build_template(gripper1, ["nope"], 4, seed=0)
 
 
 def test_configuration_from_split_with_interleaved_partition():
@@ -210,6 +211,53 @@ def test_configuration_from_split_with_interleaved_partition():
     assert np.array_equal(stacked, [[0.3, 0.05, 0.7], [0.1, -0.02, 0.2]])
     with pytest.raises(ValidationError):
         e.configuration_from_split(np.zeros(3), np.zeros(1))
+
+
+@pytest.mark.parametrize("geometry, field", [
+    ({"type": "box", "half_extents": [0.01, "a", 0.01]}, "'half_extents'"),
+    ({"type": "box", "half_extents": 0.01}, "'half_extents'"),
+    ({"type": "mesh", "vertices": [["x", 0, 0], [1, 0, 0], [0, 1, 0]], "faces": [[0, 1, 2]]},
+     "'vertices' row 0"),
+    ({"type": "mesh", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1]], "faces": [[0, 1, 2]]},
+     "'vertices' row 2"),
+    ({"type": "mesh", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "faces": [[0, 1, 2.0]]},
+     "'faces' row 0"),
+    ({"type": "mesh", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "faces": "0 1 2"},
+     "'faces'"),
+    ({"type": "mesh_file", "path": "link.obj", "scale": "2"}, "'scale'"),
+    ({"type": "mesh_file", "path": 7}, "'path'"),
+])
+def test_native_geometry_fields_are_type_checked(tmp_path, geometry, field):
+    (tmp_path / "link.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    doc = {"format": "xembody-robot", "name": "one",
+           "links": [{"name": "base", "geometry": geometry}], "joints": []}
+    with pytest.raises(DescriptionError, match=f"link 'base' {field}"):
+        parse_robot_description(json.dumps(doc), "native", base_dir=tmp_path)
+
+
+def test_split_configuration_inverts_configuration_from_split(rng):
+    # The manifest lists the arm joints against depth-first order, so the arm
+    # block runs (arm1, arm0) while the dof order is (arm0, grip, arm1).
+    links = [LinkSpec("base"), LinkSpec("a"), LinkSpec("b"), LinkSpec("c")]
+    joints = [
+        JointSpec("arm0", "revolute", "base", "a", axis=(0, 0, 1), lower=-1, upper=1),
+        JointSpec("grip", "prismatic", "a", "b", axis=(0, 1, 0), lower=-0.1, upper=0.1),
+        JointSpec("arm1", "revolute", "b", "c", axis=(0, 0, 1), lower=-1, upper=1),
+    ]
+    manifest = EmbodimentManifest(arm_joints=("arm1", "arm0"), ee_joints=("grip",))
+    e = __import__("xembody").build_embodiment("reversed", links, joints, manifest)
+    assert e.arm_indices == (2, 0) and e.ee_indices == (1,)
+
+    arm, ee = e.split_configuration(np.array([0.3, 0.05, 0.7]))
+    assert np.array_equal(arm, [0.7, 0.3]) and np.array_equal(ee, [0.05])
+    qs = rng.uniform(-1, 1, size=(5, 3))
+    arm, ee = e.split_configuration(qs)
+    assert arm.shape == (5, 2) and ee.shape == (5, 1)
+    assert np.array_equal(e.configuration_from_split(arm, ee), qs)
+    again = e.split_configuration(e.configuration_from_split(arm, ee))
+    assert np.array_equal(again[0], arm) and np.array_equal(again[1], ee)
+    with pytest.raises(ValidationError, match="does not match dof"):
+        e.split_configuration(np.zeros((5, 2)))
 
 
 def test_manifest_json_round_trip(gripper1):

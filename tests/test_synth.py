@@ -23,19 +23,19 @@ def make_aligned(configs):
 
 
 def test_actions_hold_last_single_frame(gripper1):
-    arm, ee = generate_actions(make_aligned([[-0.01]]), gripper1)
+    arm, ee = generate_actions(np.array([[-0.01]]), gripper1)
     assert arm.shape == (1, 0) and ee.shape == (1, 1)
     assert ee[0, 0] == -0.01
 
 
 def test_actions_shift_by_one(gripper1):
-    arm, ee = generate_actions(make_aligned([[-0.01], [-0.02], [-0.03]]), gripper1)
+    arm, ee = generate_actions(np.array([[-0.01], [-0.02], [-0.03]]), gripper1)
     assert np.allclose(ee.ravel(), [-0.02, -0.03, -0.03])
 
 
 def test_actions_split_follows_manifest():
     e = helpers.build_planar2()  # all dof default to arm
-    arm, ee = generate_actions(make_aligned(np.zeros((2, 2))), e)
+    arm, ee = generate_actions(np.zeros((2, 2)), e)
     assert arm.shape == (2, 2) and ee.shape == (2, 0)
 
 
