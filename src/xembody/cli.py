@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import math
 import shutil
 import sys
 import time
@@ -25,13 +24,14 @@ from .align import AlignmentConfig, align_trajectory, eis_initialize
 from .augment import (AnchoredTransform, AugmentationSchedule, augment_rep_trajectory,
                       augment_scene_cloud, clipped_growth, grid_transforms)
 from .chamfer import MetricConfig, _matches
-from .dataset import (DatasetIndex, IndexEntry, _load_json_object, read_demonstration,
-                      read_index, write_demonstration, write_index)
+from .dataset import (DatasetIndex, IndexEntry, read_demonstration, read_index,
+                      write_demonstration, write_index)
 from .errors import ValidationError, XembodyError
+from .fields import Fields
 from .funcrep import (FunctionalTemplate, _subseed, build_template, eval_template,
                       template_trajectory)
 from .robot import Embodiment, load_embodiment
-from .synth import Demonstration, SynthConfig, synthesize_demonstration
+from .synth import Demonstration, SynthConfig, in_box, synthesize_demonstration
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -65,56 +65,48 @@ class RunManifest:
 
 EIS_SAMPLES = 1000  # elite-initialization draws when EIS is on without a count
 
+_json = Fields(XembodyError)
+
 # Every run-manifest key: "section.key" (top-level keys have no section) ->
-# (the flag that overrides it, its JSON type, the config it sets, the field).
+# (the flag that overrides it, its reader, the config it sets, the field).
 # The defaults live in the config dataclasses only.
 MANIFEST_KEYS = {
-    "source.description": ("source", str, "run", "source_description"),
-    "source.manifest": (None, str, "run", "source_manifest"),
-    "target.description": ("target", str, "run", "target_description"),
-    "target.manifest": (None, str, "run", "target_manifest"),
-    "input": ("input", str, "run", "input_path"),
-    "output": ("out", str, "run", "output_path"),
-    "seed": ("seed", int, "run", "seed"),
-    "workers": ("workers", int, "run", "workers"),
-    "template.points_per_link": (None, int, "run", "points_per_link"),
-    "template.seed": (None, int, "run", "template_seed"),
-    "alignment.lambda": ("lam", float, "metric", "lam"),
-    "alignment.epsilon": (None, float, "metric", "epsilon"),
-    "alignment.w1": ("w1", float, "alignment", "w1"),
-    "alignment.w2": ("w2", float, "alignment", "w2"),
-    "alignment.max_steps": ("max_steps", int, "alignment", "max_steps"),
-    "alignment.patience": ("patience", int, "alignment", "patience"),
-    "alignment.step_size": (None, float, "alignment", "step_size"),
-    "synthesis.tau": ("tau", float, "synthesis", "tau"),
-    "synthesis.workspace": (None, dict, "synthesis", "workspace"),
-    "synthesis.robot_points": (None, int, "synthesis", "robot_points"),
-    "synthesis.output_size": ("points", int, "synthesis", "output_size"),
-    "eis.enabled": ("eis", bool, "eis", "enabled"),
-    "eis.samples": ("eis_samples", int, "eis", "samples"),
-    "eis.fraction": ("eis_frac", float, "run", "eis_fraction"),
+    "source.description": ("source", _json.string, "run", "source_description"),
+    "source.manifest": (None, _json.string, "run", "source_manifest"),
+    "target.description": ("target", _json.string, "run", "target_description"),
+    "target.manifest": (None, _json.string, "run", "target_manifest"),
+    "input": ("input", _json.string, "run", "input_path"),
+    "output": ("out", _json.string, "run", "output_path"),
+    "seed": ("seed", _json.integer, "run", "seed"),
+    "workers": ("workers", _json.integer, "run", "workers"),
+    "template.points_per_link": (None, _json.integer, "run", "points_per_link"),
+    "template.seed": (None, _json.integer, "run", "template_seed"),
+    "alignment.lambda": ("lam", _json.number, "metric", "lam"),
+    "alignment.epsilon": (None, _json.number, "metric", "epsilon"),
+    "alignment.w1": ("w1", _json.number, "alignment", "w1"),
+    "alignment.w2": ("w2", _json.number, "alignment", "w2"),
+    "alignment.max_steps": ("max_steps", _json.integer, "alignment", "max_steps"),
+    "alignment.patience": ("patience", _json.integer, "alignment", "patience"),
+    "alignment.step_size": (None, _json.number, "alignment", "step_size"),
+    "synthesis.tau": ("tau", _json.number, "synthesis", "tau"),
+    "synthesis.workspace": (None, _json.box, "synthesis", "workspace"),
+    "synthesis.robot_points": (None, _json.integer, "synthesis", "robot_points"),
+    "synthesis.output_size": ("points", _json.integer, "synthesis", "output_size"),
+    "eis.enabled": ("eis", _json.boolean, "eis", "enabled"),
+    "eis.samples": ("eis_samples", _json.integer, "eis", "samples"),
+    "eis.fraction": ("eis_frac", _json.number, "run", "eis_fraction"),
 }
 _SECTIONS = {name.split(".")[0] for name in MANIFEST_KEYS if "." in name}
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number",
-               bool: "true or false", dict: 'an object {"min": [x, y, z], "max": [x, y, z]}'}
-
-
-def _read_json_file(path: str, what: str) -> dict:
-    try:
-        return _load_json_object(Path(path))
-    except OSError as err:
-        raise XembodyError(f"cannot read {what}: {err}") from err
 
 
 def _manifest_values(path: str) -> dict:
     """The manifest's settings as {"section.key": value}; unknown keys and
     sections that are not objects are errors."""
     values = {}
-    for key, value in _read_json_file(path, "run manifest").items():
+    for key, value in _json.read(Path(path)).items():
         if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise XembodyError(f"{path}: section {key!r} must be an object")
-            values.update((f"{key}.{sub}", v) for sub, v in value.items())
+            section = _json.object(value, f"{path}: section {key!r}")
+            values.update((f"{key}.{sub}", v) for sub, v in section.items())
         elif "." in key:  # a dotted name such as "alignment.w1" only exists in its section
             raise XembodyError(f"{path}: unknown key {key!r}")
         else:
@@ -123,26 +115,6 @@ def _manifest_values(path: str) -> dict:
         if name not in MANIFEST_KEYS:
             raise XembodyError(f"{path}: unknown key {name!r}")
     return values
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
-def _checked(name: str, value, kind):
-    """`value` as a `kind` setting, or an error naming the manifest key."""
-    if kind is float and _is_number(value):
-        return float(value)
-    if kind is dict and isinstance(value, dict) and sorted(value) == ["max", "min"] and all(
-            isinstance(corner, list) and len(corner) == 3 and all(map(_is_number, corner))
-            for corner in value.values()):  # the synthesis workspace box
-        return np.array(value["min"], dtype=float), np.array(value["max"], dtype=float)
-    if kind in (str, int, bool) and isinstance(value, kind) \
-            and (kind is bool or not isinstance(value, bool)):
-        return value
-    raise XembodyError(f"manifest key {name!r} must be {_TYPE_NAMES[kind]}, "
-                       f"got {json.dumps(value)}")
 
 
 def load_run_manifest(args: argparse.Namespace) -> RunManifest:
@@ -159,8 +131,8 @@ def load_run_manifest(args: argparse.Namespace) -> RunManifest:
 
     configs = {"run": {}, "metric": {}, "alignment": {}, "synthesis": {}, "eis": {}}
     for name, value in values.items():
-        _, kind, config, field_name = MANIFEST_KEYS[name]
-        configs[config][field_name] = _checked(name, value, kind)
+        _, read, config, field_name = MANIFEST_KEYS[name]
+        configs[config][field_name] = read(value, f"manifest key {name!r}")
     run, eis = configs["run"], configs["eis"]
     if eis.get("enabled"):
         run["eis_samples"] = eis.get("samples", EIS_SAMPLES)
@@ -214,11 +186,8 @@ def _run_demo_task(task: _DemoTask) -> dict:
             clouds = []
             for t, cloud in enumerate(demo.clouds):
                 growth = clipped_growth(t, len(demo), task.schedule.knee)
-                if task.object_box is not None:
-                    lo, hi = task.object_box
-                    mask = np.all((cloud.points >= lo) & (cloud.points <= hi), axis=1)
-                else:
-                    mask = np.zeros(len(cloud), dtype=bool)
+                mask = np.zeros(len(cloud), dtype=bool) if task.object_box is None \
+                    else in_box(cloud.points, task.object_box)
                 clouds.append(augment_scene_cloud(cloud, mask, task.transform.transform, growth))
             demo = replace(demo, clouds=tuple(clouds))
 
@@ -330,7 +299,9 @@ def _run(command: str, args: argparse.Namespace, transforms, **augment) -> int:
     if manifest.workers <= 1 or len(tasks) <= 1:
         results = _collect(command, map(_run_demo_task, tasks), len(tasks))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=manifest.workers) as pool:
+        # A pool that forks starts all its workers at the first submit.
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(manifest.workers, len(tasks))) as pool:
             results = _collect(command, pool.map(_run_demo_task, tasks), len(tasks))
     return _finish_run(command, manifest, results, started)
 
@@ -348,37 +319,12 @@ def _collect(command: str, results, total: int) -> list[dict]:
 
 
 def _read_anchors_file(path: str) -> tuple[np.ndarray, tuple | None]:
-    """Read `{"anchors": [[x, y, z], ...], "object_box": {"min": [x, y, z], "max": [x, y, z]}}`.
-
-    Returns the (K, 3) anchors and the (min, max) object box, or None when the
-    file has no box.
-    """
-    doc = _read_json_file(path, "anchors file")
-    if "anchors" not in doc:
-        raise XembodyError(f"{path}: no 'anchors' list")
-
-    def floats(value, what: str) -> np.ndarray:
-        try:
-            array = np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as err:
-            raise XembodyError(f"{path}: {what} is not numeric ({err})") from err
-        if not np.all(np.isfinite(array)):
-            raise XembodyError(f"{path}: {what} has non-finite entries")
-        return array
-
-    anchors = floats(doc["anchors"], "'anchors'")
-    if anchors.size == 0 or anchors.size % 3:
-        raise XembodyError(f"{path}: 'anchors' must hold one or more [x, y, z] points")
-    anchors = anchors.reshape(-1, 3)
+    """The (K, 3) anchors and the (min, max) object box (None when absent) of
+    `{"anchors": [[x, y, z], ...], "object_box": {"min": [x, y, z], "max": [x, y, z]}}`."""
+    doc = _json.read(Path(path))
+    anchors = _json.rows(_json.required(doc, "anchors", path), f"{path}: 'anchors'", min_rows=1)
     box = doc.get("object_box")
-    if box is None:
-        return anchors, None
-    if not isinstance(box, dict) or "min" not in box or "max" not in box:
-        raise XembodyError(f"{path}: 'object_box' needs 'min' and 'max' corners")
-    lo, hi = floats(box["min"], "object_box 'min'"), floats(box["max"], "object_box 'max'")
-    if lo.shape != (3,) or hi.shape != (3,):
-        raise XembodyError(f"{path}: object_box corners must be [x, y, z] points")
-    return anchors, (lo, hi)
+    return anchors, None if box is None else _json.box(box, f"{path}: 'object_box'")
 
 
 def cmd_augment(args: argparse.Namespace) -> int:

@@ -26,12 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChecksumError, DatasetFormatError
+from .fields import Fields
 from .robot import Embodiment
 from .synth import Demonstration, PointCloud, crop_workspace, generate_actions
 
 DEMO_FORMAT = "xembody-demo"
 INDEX_FORMAT = "xembody-dataset"
 FORMAT_VERSION = 1
+
+_json = Fields(DatasetFormatError)
 
 
 @dataclass(frozen=True)
@@ -61,16 +64,6 @@ def _checksum(blocks) -> str:
     for block in blocks:
         digest.update(block)
     return digest.hexdigest()
-
-
-def _load_json_object(path: Path) -> dict:
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as err:  # undecodable bytes or malformed JSON
-        raise DatasetFormatError(f"{path}: not valid JSON ({err})") from err
-    if not isinstance(doc, dict):
-        raise DatasetFormatError(f"{path}: expected a JSON object")
-    return doc
 
 
 def write_demonstration(demo: Demonstration, path: str | Path) -> str:
@@ -119,9 +112,7 @@ def read_demonstration(path: str | Path, expected_checksum: str | None = None) -
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise DatasetFormatError(f"no manifest at {manifest_path}")
-    manifest = _load_json_object(manifest_path)
+    manifest = _json.read(manifest_path)
     if manifest.get("format") != DEMO_FORMAT:
         raise DatasetFormatError(
             f"{path}: expected format {DEMO_FORMAT!r}, got {manifest.get('format')!r}"
@@ -130,15 +121,17 @@ def read_demonstration(path: str | Path, expected_checksum: str | None = None) -
         raise DatasetFormatError(
             f"{path}: unsupported byte order {manifest.get('byte_order')!r}"
         )
-    try:
-        embodiment = str(manifest["embodiment"])
-        length = int(manifest["length"])
-        arm_dof = int(manifest["arm_dof"])
-        ee_dof = int(manifest["ee_dof"])
-        point_counts = [int(m) for m in manifest["point_counts"]]
-        seed = int(manifest.get("seed", 0))
-    except (KeyError, TypeError, ValueError) as err:
-        raise DatasetFormatError(f"{path}: manifest field missing or malformed: {err!r}") from err
+    where = str(manifest_path)
+    embodiment = _json.string(_json.required(manifest, "embodiment", where),
+                              f"{where}: 'embodiment'")
+    length, arm_dof, ee_dof = (_json.integer(_json.required(manifest, key, where),
+                                             f"{where}: {key!r}", minimum=0)
+                               for key in ("length", "arm_dof", "ee_dof"))
+    point_counts = _json.integers(_json.required(manifest, "point_counts", where),
+                                  f"{where}: 'point_counts'", minimum=0)
+    # Any integer: a run's seed, which may be negative, is written here as is.
+    seed = _json.integer(manifest.get("seed", 0), f"{where}: 'seed'")
+    initial_state = _json.object(manifest.get("initial_state", {}), f"{where}: 'initial_state'")
     if len(point_counts) != length:
         raise DatasetFormatError(f"{path}: point_counts has {len(point_counts)} entries, "
                                  f"length is {length}")
@@ -176,7 +169,7 @@ def read_demonstration(path: str | Path, expected_checksum: str | None = None) -
         ee_positions=proprios[:, arm_dof:],
         arm_targets=actions[:, :arm_dof],
         ee_targets=actions[:, arm_dof:],
-        initial_state=manifest.get("initial_state", {}),
+        initial_state=initial_state,
         seed=seed,
     )
 
@@ -201,9 +194,7 @@ def write_index(index: DatasetIndex, dataset_dir: str | Path) -> None:
 
 def read_index(dataset_dir: str | Path) -> DatasetIndex:
     index_path = Path(dataset_dir) / "index.json"
-    if not index_path.exists():
-        raise DatasetFormatError(f"no index.json in {dataset_dir}")
-    doc = _load_json_object(index_path)
+    doc = _json.read(index_path)
     if doc.get("format") != INDEX_FORMAT:
         raise DatasetFormatError(f"{index_path}: not a dataset index")
     demos = doc.get("demos", [])
@@ -214,19 +205,12 @@ def read_index(dataset_dir: str | Path) -> DatasetIndex:
 
 
 def _index_entry(d, where: str) -> IndexEntry:
-    if not isinstance(d, dict):
-        raise DatasetFormatError(f"{where} is not a JSON object")
-    where = f"{where} (id {d.get('id')!r})"
-    for key in ("id", "path", "embodiment", "length", "checksum"):
-        if key not in d:
-            raise DatasetFormatError(f"{where} has no {key!r} key")
-        if key != "length" and not isinstance(d[key], str):
-            raise DatasetFormatError(f"{where}: {key!r} is not a string")
-    try:
-        length = int(d["length"])
-    except (TypeError, ValueError) as err:
-        raise DatasetFormatError(f"{where}: malformed length ({err})") from err
-    return IndexEntry(d["id"], d["path"], d["embodiment"], length, d["checksum"])
+    where = f"{where} (id {_json.object(d, where).get('id')!r})"
+    demo_id, path, embodiment, checksum = (
+        _json.string(_json.required(d, key, where), f"{where}: {key!r}")
+        for key in ("id", "path", "embodiment", "checksum"))
+    length = _json.integer(_json.required(d, "length", where), f"{where}: 'length'", minimum=0)
+    return IndexEntry(demo_id, path, embodiment, length, checksum)
 
 
 def write_dataset(demos: dict[str, Demonstration], dataset_dir: str | Path) -> DatasetIndex:
@@ -278,9 +262,8 @@ def ingest_recorded_log(log_path: str | Path, e: Embodiment, workspace_box) -> D
     )
     arm_positions, ee_positions = e.split_configuration(joints)
     arm_targets, ee_targets = generate_actions(joints, e)
-    initial_state = {}
-    if "initial_state" in data:
-        initial_state = json.loads(str(data["initial_state"]))
+    initial_state = _json.load(str(data["initial_state"]), f"{log_path}: 'initial_state'") \
+        if "initial_state" in data else {}
     return Demonstration(
         embodiment=e.name,
         clouds=clouds,

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DescriptionError, StructureError, ValidationError
+from .fields import Fields
 from .mesh import TriMesh, box_mesh, load_mesh_file
 from . import transforms as tf
 
@@ -89,24 +90,29 @@ class EmbodimentManifest:
 
     @staticmethod
     def from_json(text: str) -> "EmbodimentManifest":
-        doc = _json_object(text, "embodiment manifest")
+        return EmbodimentManifest.from_dict(_json.load(text, "embodiment manifest"))
+
+    @staticmethod
+    def from_dict(doc) -> "EmbodimentManifest":
+        """The manifest that a decoded JSON object declares."""
+        doc = _json.object(doc, "embodiment manifest")
         workspace = None
         if doc.get("workspace") is not None:
-            ws = _object(doc["workspace"], "manifest 'workspace'")
-            workspace = tuple(_numbers(_required(ws, corner, "manifest 'workspace'"), 3,
-                                       f"manifest 'workspace' {corner!r}")
+            ws = _json.object(doc["workspace"], "manifest 'workspace'")
+            workspace = tuple(_json.numbers(_json.required(ws, corner, "manifest 'workspace'"), 3,
+                                            f"manifest 'workspace' {corner!r}")
                               for corner in ("min", "max"))
-        base = _object(doc.get("world_to_base") or {}, "manifest 'world_to_base'")
+        base = _json.object(doc.get("world_to_base") or {}, "manifest 'world_to_base'")
         rotation, translation = _origin(base, "manifest 'world_to_base'")
         return EmbodimentManifest(
-            **{key: _names(doc.get(key, []), f"manifest {key!r}")
+            **{key: _json.names(doc.get(key, []), f"manifest {key!r}")
                for key in ("arm_joints", "ee_joints", "pad_links")},
             workspace=workspace,
             base_rotation=rotation,
             base_translation=translation,
         )
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         doc: dict = {
             "arm_joints": list(self.arm_joints),
             "ee_joints": list(self.ee_joints),
@@ -121,76 +127,23 @@ class EmbodimentManifest:
             "rotation": [float(v) for v in self.base_rotation.ravel()],
             "translation": [float(v) for v in self.base_translation],
         }
-        return json.dumps(doc, sort_keys=True, indent=1)
+        return doc
 
 
-def _json_object(text: str, what: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DescriptionError(f"malformed JSON: {err.msg}", line=err.lineno) from err
-    return _object(doc, what)
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise DescriptionError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _required(doc: dict, key: str, what: str):
-    if key not in doc:
-        raise DescriptionError(f"{what} has no {key!r}")
-    return doc[key]
-
-
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not np.isfinite(value):
-        raise DescriptionError(f"{what} must be a finite number, got {json.dumps(value)}")
-    return float(value)
-
-
-def _numbers(value, count: int, what: str) -> np.ndarray:
-    """A JSON list of `count` finite numbers; nine may also come as 3 rows of 3."""
-    flat = value
-    if count == 9 and isinstance(value, list) and all(isinstance(row, list) for row in value):
-        flat = [x for row in value if len(row) == 3 for x in row]
-    if not isinstance(flat, list) or len(flat) != count:
-        raise DescriptionError(f"{what} must be a list of {count} numbers, "
-                               f"got {json.dumps(value)}")
-    return np.array([_number(x, what) for x in flat])
-
-
-def _rows(value, what: str, integer: bool = False) -> np.ndarray:
-    """A JSON list of rows of 3 numbers, or of 3 integers when `integer`."""
-    kinds, kind = ((int,), "integers") if integer else ((int, float), "numbers")
-    if not isinstance(value, list):
-        raise DescriptionError(f"{what} must be a list of rows of 3 {kind}, "
-                               f"got {json.dumps(value)}")
-    for k, row in enumerate(value):
-        if not (isinstance(row, list) and len(row) == 3
-                and all(isinstance(x, kinds) and not isinstance(x, bool) for x in row)):
-            raise DescriptionError(f"{what} row {k} must be 3 {kind}, got {json.dumps(row)}")
-    return np.array(value, dtype=np.int64 if integer else float).reshape(-1, 3)
-
-
-def _names(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
-        raise DescriptionError(f"{what} must be a list of names, got {json.dumps(value)}")
-    return tuple(value)
+_json = Fields(DescriptionError)
 
 
 def _origin(doc: dict, what: str):
     """(rotation, translation) of a JSON transform: "rpy" (3 angles) or
     "rotation" (9 numbers), and "translation"; each defaults to identity."""
     if "rpy" in doc:
-        rotation = tf.rpy_matrix(*_numbers(doc["rpy"], 3, f"{what} 'rpy'"))
+        rotation = tf.rpy_matrix(*_json.numbers(doc["rpy"], 3, f"{what} 'rpy'"))
     elif "rotation" in doc:
-        rotation = _numbers(doc["rotation"], 9, f"{what} 'rotation'").reshape(3, 3)
+        rotation = _json.numbers(doc["rotation"], 9, f"{what} 'rotation'").reshape(3, 3)
     else:
         rotation = np.eye(3)
-    translation = _numbers(doc.get("translation", [0.0, 0.0, 0.0]), 3, f"{what} 'translation'")
+    translation = _json.numbers(doc.get("translation", [0.0, 0.0, 0.0]), 3,
+                                f"{what} 'translation'")
     return rotation, translation
 
 
@@ -610,29 +563,27 @@ NATIVE_FORMAT = "xembody-robot"
 def _geometry_from_native(doc: dict | None, what: str, base_dir: Path | None) -> TriMesh | None:
     if doc is None:
         return None
-    kind = _object(doc, f"{what} geometry").get("type")
+    kind = _json.object(doc, f"{what} geometry").get("type")
     if kind == "box":
-        return box_mesh(_numbers(_required(doc, "half_extents", what), 3,
-                                 f"{what} 'half_extents'"))
+        return box_mesh(_json.numbers(_json.required(doc, "half_extents", what), 3,
+                                      f"{what} 'half_extents'"))
     if kind == "mesh":
-        return TriMesh(_rows(_required(doc, "vertices", what), f"{what} 'vertices'"),
-                       _rows(_required(doc, "faces", what), f"{what} 'faces'", integer=True))
+        return TriMesh(_json.rows(_json.required(doc, "vertices", what), f"{what} 'vertices'"),
+                       _json.rows(_json.required(doc, "faces", what), f"{what} 'faces'",
+                                  integer=True))
     if kind == "mesh_file":
-        path = _required(doc, "path", what)
-        if not isinstance(path, str):
-            raise DescriptionError(f"{what} 'path' must be a string, got {json.dumps(path)}")
-        path = Path(path)
+        path = Path(_json.string(_json.required(doc, "path", what), f"{what} 'path'"))
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
         mesh = load_mesh_file(path)
         if "scale" in doc:
-            mesh = mesh.scaled(_number(doc["scale"], f"{what} 'scale'"))
+            mesh = mesh.scaled(_json.number(doc["scale"], f"{what} 'scale'"))
         return mesh
     raise DescriptionError(f"unknown geometry type {kind!r}", element=what)
 
 
 def _parse_native(text: str, base_dir: Path | None):
-    doc = _json_object(text, "robot description")
+    doc = _json.load(text, "robot description")
     if doc.get("format") != NATIVE_FORMAT:
         raise DescriptionError(
             f"expected document format {NATIVE_FORMAT!r}, got {doc.get('format')!r}",
@@ -641,15 +592,15 @@ def _parse_native(text: str, base_dir: Path | None):
     name = doc.get("name", "robot")
     links = []
     for k, l in enumerate(doc.get("links", [])):
-        link_name = _required(_object(l, f"links[{k}]"), "name", f"links[{k}]")
+        link_name = _json.required(_json.object(l, f"links[{k}]"), "name", f"links[{k}]")
         links.append(LinkSpec(link_name, _geometry_from_native(
             l.get("geometry"), f"link {link_name!r}", base_dir)))
     joints = []
     for k, j in enumerate(doc.get("joints", [])):
         what = f"joints[{k}]"
-        joint_name = _required(_object(j, what), "name", what)
+        joint_name = _json.required(_json.object(j, what), "name", what)
         what = f"joint {joint_name!r}"
-        rotation, translation = _origin(_object(j.get("origin", {}), f"{what} origin"),
+        rotation, translation = _origin(_json.object(j.get("origin", {}), f"{what} origin"),
                                         f"{what} origin")
         kind = j.get("kind")
         if kind not in JOINT_KINDS:
@@ -660,16 +611,17 @@ def _parse_native(text: str, base_dir: Path | None):
             raise ValidationError(f"joint {joint_name!r} is {kind} but has no limits")
         joints.append(
             JointSpec(
-                joint_name, kind, _required(j, "parent", what), _required(j, "child", what),
-                _numbers(j.get("axis", [1.0, 0.0, 0.0]), 3, f"{what} 'axis'"),
+                joint_name, kind,
+                _json.required(j, "parent", what), _json.required(j, "child", what),
+                _json.numbers(j.get("axis", [1.0, 0.0, 0.0]), 3, f"{what} 'axis'"),
                 rotation, translation,
-                _number(j.get("lower", 0.0), f"{what} 'lower'"),
-                _number(j.get("upper", 0.0), f"{what} 'upper'"),
+                _json.number(j.get("lower", 0.0), f"{what} 'lower'"),
+                _json.number(j.get("upper", 0.0), f"{what} 'upper'"),
             )
         )
     manifest = None
     if "manifest" in doc:
-        manifest = EmbodimentManifest.from_json(json.dumps(doc["manifest"]))
+        manifest = EmbodimentManifest.from_dict(doc["manifest"])
     return name, links, joints, manifest
 
 
@@ -729,16 +681,14 @@ def serialize_embodiment(e: Embodiment) -> str:
             }
             for j in e.joints
         ],
-        "manifest": json.loads(
-            EmbodimentManifest(
-                arm_joints=tuple(e.actuated_joint_names[i] for i in e.arm_indices),
-                ee_joints=tuple(e.actuated_joint_names[i] for i in e.ee_indices),
-                pad_links=e.pad_links,
-                workspace=e.workspace,
-                base_rotation=e.base_rotation,
-                base_translation=e.base_translation,
-            ).to_json()
-        ),
+        "manifest": EmbodimentManifest(
+            arm_joints=tuple(e.actuated_joint_names[i] for i in e.arm_indices),
+            ee_joints=tuple(e.actuated_joint_names[i] for i in e.ee_indices),
+            pad_links=e.pad_links,
+            workspace=e.workspace,
+            base_rotation=e.base_rotation,
+            base_translation=e.base_translation,
+        ).to_dict(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 

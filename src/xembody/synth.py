@@ -156,12 +156,15 @@ def generate_actions(configs: np.ndarray, e: Embodiment):
     return e.split_configuration(np.vstack([configs[1:], configs[-1:]]))
 
 
+def in_box(points: np.ndarray, box) -> np.ndarray:
+    """Which of the (N, 3) `points` lie in the (min, max) box, bounds included."""
+    lo, hi = (np.asarray(corner, dtype=float) for corner in box)
+    return np.all((points >= lo) & (points <= hi), axis=1)
+
+
 def crop_workspace(pc: PointCloud, box) -> PointCloud:
-    """Keep points with box-min <= p <= box-max (inclusive), order preserved."""
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
-    keep = np.all((pc.points >= lo) & (pc.points <= hi), axis=1)
-    return pc.take(np.flatnonzero(keep))
+    """Keep the points `in_box` of the workspace, order preserved."""
+    return pc.take(np.flatnonzero(in_box(pc.points, box)))
 
 
 def mask_robot_points(pc: PointCloud, robot: Embodiment, q: np.ndarray,

@@ -136,6 +136,31 @@ def test_retarget_deterministic_across_worker_counts(tmp_path, robot_files, sour
     assert dataset_bytes(out1) == dataset_bytes(out2)
 
 
+def test_worker_pool_never_outnumbers_the_demos(tmp_path, robot_files, source_dataset,
+                                                monkeypatch):
+    # A stand-in executor: records its size and maps serially, so no process starts.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    src, tgt = robot_files
+    out = tmp_path / "out"
+    assert main(retarget_args(src, tgt, source_dataset, out, workers=64)) == 0
+    assert sizes == [2] and len(read_index(out)) == 2
+
+
 def test_retarget_with_manifest_file_and_eis(tmp_path, robot_files, source_dataset):
     src, tgt = robot_files
     out = tmp_path / "out"
@@ -199,7 +224,13 @@ def test_augment_identity_grid_preserves_count(tmp_path, robot_files, gripper1):
     "[[0.0, 0.0, 0.0]]",
     '{"anchors": [[0.0, 0.0, 0.0]',
     '{"anchors": [[0.0, 0.0, 0.0]], "object_box": {"min": [0.0, 0.0, 0.0]}}',
-], ids=["empty-object", "not-an-object", "bad-json", "box-without-max"])
+    '{"anchors": [[0.0, 0.0, 0.0]], "object_box": {"min": [0, 0, 1], "max": [1, 1, 0]}}',
+    '{"anchors": [[0.0, true, 0.0]]}',
+    '{"anchors": [0.0, 0.0, 0.0, 0.1, 0.0, 0.0]}',
+    '{"anchors": [[[0.0, 0.0, 0.0]]]}',
+    "[" * 100000,
+], ids=["empty-object", "not-an-object", "bad-json", "box-without-max", "inverted-box",
+        "bool-coordinate", "flat-anchors", "nested-anchors", "deep-nesting"])
 def test_augment_rejects_malformed_anchors_file(tmp_path, robot_files, source_dataset,
                                                 text, capsys):
     src, tgt = robot_files
@@ -240,17 +271,24 @@ def test_validate_finds_truncation(tmp_path, robot_files, source_dataset, capsys
                for f in report["findings"])
 
 
-def _drop_length(manifest: Path) -> None:
-    doc = json.loads(manifest.read_text())
-    del doc["length"]
-    manifest.write_text(json.dumps(doc))
+def _edit_manifest(demo: Path, edit) -> None:
+    doc = json.loads((demo / "manifest.json").read_text())
+    edit(doc)
+    (demo / "manifest.json").write_text(json.dumps(doc))
 
 
 @pytest.mark.parametrize("damage", [
     lambda demo: (demo / "frames" / "000001.bin").unlink(),
     lambda demo: (demo / "manifest.json").write_bytes((demo / "manifest.json").read_bytes()[:40]),
-    lambda demo: _drop_length(demo / "manifest.json"),
-], ids=["missing-frame", "cut-manifest", "no-length"])
+    lambda demo: _edit_manifest(demo, lambda doc: doc.pop("length")),
+    lambda demo: _edit_manifest(demo, lambda doc: doc.update(length=str(doc["length"]))),
+    lambda demo: _edit_manifest(demo, lambda doc: doc.update(arm_dof=doc["arm_dof"] + 0.9)),
+    lambda demo: _edit_manifest(demo, lambda doc: doc.update(
+        arm_dof=-1, ee_dof=doc["arm_dof"] + doc["ee_dof"] + 1)),
+    lambda demo: _edit_manifest(demo, lambda doc: doc.update(seed=str(doc["seed"]))),
+    lambda demo: (demo / "manifest.json").unlink() or (demo / "manifest.json").mkdir(),
+], ids=["missing-frame", "cut-manifest", "no-length", "string-length", "fractional-arm-dof",
+        "negative-arm-dof", "string-seed", "manifest-is-a-directory"])
 def test_validate_reports_damaged_demo(source_dataset, damage, capsys):
     damage(source_dataset / "demo0")
     assert main(["validate", str(source_dataset)]) == 1
@@ -259,18 +297,20 @@ def test_validate_reports_damaged_demo(source_dataset, damage, capsys):
     assert [f["demo"] for f in report["findings"]] == ["demo0"]
 
 
-@pytest.mark.parametrize("entry", [
-    {"id": "a"},
-    {"id": "a", "path": None, "embodiment": "hand6", "length": 1, "checksum": "0"},
-], ids=["missing-key", "null-path"])
-def test_validate_reports_malformed_index_entry(tmp_path, entry, capsys):
+@pytest.mark.parametrize("entry, key", [
+    ({"id": "a"}, "'path'"),
+    ({"id": "a", "path": None, "embodiment": "hand6", "length": 1, "checksum": "0"}, "'path'"),
+    ({"id": "a", "path": "a", "embodiment": "hand6", "length": 2.5, "checksum": "0"},
+     "'length'"),
+], ids=["missing-key", "null-path", "fractional-length"])
+def test_validate_reports_malformed_index_entry(tmp_path, entry, key, capsys):
     (tmp_path / "index.json").write_text(json.dumps({"format": INDEX_FORMAT,
                                                      "demos": [entry]}))
     assert main(["validate", str(tmp_path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert len(report["findings"]) == 1
     finding = report["findings"][0]["finding"]
-    assert "demos[0]" in finding and "'a'" in finding and "'path'" in finding
+    assert "demos[0]" in finding and "'a'" in finding and key in finding
 
 
 def test_validate_finds_limit_violation(tmp_path, gripper1, robot_files, capsys):
@@ -503,12 +543,14 @@ def test_manifest_with_the_bench_keys_loads(tmp_path, monkeypatch):
     '{"eis": {"enabled": true, "fraction": 0}}',
     '{"eis": {"enabled": true, "fraction": 1.5}}',
     '{"workers": 0}',
+    '{"alignment": {"w1": ' + "1" * 400 + "}}",
+    '{"synthesis": {"workspace": {"min": [0, 0, 1], "max": [1, 1, 0]}}}',
 ], ids=["bad-json", "not-an-object", "section-not-an-object", "removed-key", "typo",
         "removed-section-key", "string-for-int", "float-for-int", "bool-for-int",
         "int-for-bool", "nan", "null", "box-without-max", "box-with-string",
         "dotted-top-level-key", "eis-samples-without-eis", "eis-fraction-without-eis",
         "eis-samples-below-10", "eis-samples-zero", "eis-fraction-zero",
-        "eis-fraction-above-1", "no-workers"])
+        "eis-fraction-above-1", "no-workers", "400-digit-number", "inverted-workspace"])
 def test_malformed_manifest_exits_2_before_any_output(tmp_path, robot_files, source_dataset,
                                                       text, capsys):
     src, tgt = robot_files
@@ -637,6 +679,7 @@ BAD_DESCRIPTIONS = {
     "link-face-a-float": _link_geometry(_float_face, "'faces' row 0"),
     "link-half-extent-a-string": _link_geometry(_string_half_extent, "'half_extents'"),
     "link-scale-a-string": _link_geometry(_string_scale, "'scale'"),
+    "joint-lower-of-400-digits": _joint_field("lower", int("1" * 400), "'lower'"),
 }
 
 

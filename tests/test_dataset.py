@@ -205,6 +205,17 @@ def test_ingest_reports_missing_frames(tmp_path, gripper1):
         ingest_recorded_log(log, gripper1, gripper1.workspace)
 
 
+@pytest.mark.parametrize("initial_state", ['{"object": "toy"', '["toy"]'],
+                         ids=["bad-json", "not-an-object"])
+def test_ingest_rejects_malformed_initial_state(tmp_path, gripper1, initial_state):
+    arrays = {"joints": np.zeros((1, 1)), "cloud_000000": np.zeros((4, 3)),
+              "initial_state": np.array(initial_state)}
+    log = tmp_path / "log.npz"
+    np.savez(log, **arrays)
+    with pytest.raises(DatasetFormatError, match="initial_state"):
+        ingest_recorded_log(log, gripper1, gripper1.workspace)
+
+
 def test_index_read_rejects_non_dataset(tmp_path):
     (tmp_path / "index.json").write_text(json.dumps({"format": "other"}))
     with pytest.raises(DatasetFormatError):

@@ -226,6 +226,7 @@ def test_configuration_from_split_with_interleaved_partition():
      "'faces'"),
     ({"type": "mesh_file", "path": "link.obj", "scale": "2"}, "'scale'"),
     ({"type": "mesh_file", "path": 7}, "'path'"),
+    ({"type": "box", "half_extents": [0.01, int("1" * 400), 0.01]}, "'half_extents'"),
 ])
 def test_native_geometry_fields_are_type_checked(tmp_path, geometry, field):
     (tmp_path / "link.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
@@ -266,7 +267,7 @@ def test_manifest_json_round_trip(gripper1):
         workspace=(np.array([-1.0, -1, 0]), np.array([1.0, 1, 2])),
         base_translation=np.array([0.0, 0.5, 0.0]),
     )
-    again = EmbodimentManifest.from_json(manifest.to_json())
+    again = EmbodimentManifest.from_json(json.dumps(manifest.to_dict()))
     assert again.arm_joints == ("a",) and again.pad_links == ("pad",)
     assert np.allclose(again.workspace[0], [-1, -1, 0])
     assert np.allclose(again.base_translation, [0, 0.5, 0])
