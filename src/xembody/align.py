@@ -12,18 +12,26 @@ last one.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chamfer import MetricConfig, dcd, dcd_value_and_cotangent, functional_similarity
+from .chamfer import (MetricConfig, _smooth_norm, dcd, dcd_value_and_cotangent,
+                      functional_similarity)
 from .errors import AlignmentError, ValidationError
 from .funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep, eval_template
 from .kinematics import _resolve_link_indices, evaluate_with_pullback, evaluate_world_set
 from .robot import Embodiment
 
 IMPROVEMENT_TOL = 1e-8  # minimum decrease of the best loss that counts as progress
+
+# Elite initialization's lower bound on the DCD (see _dcd_lower_bounds).
+_BOUND_ENTRIES = 1 << 16  # entries per bound temporary; bounds the candidates per pass
+_GROUP_ANGLE = np.radians(15.0)  # source rows within this angle of a leader share a cone
+_ANGLE_SLACK = 1e-6  # radians added to every cone and taken off every query angle
+_BOUND_MARGIN = 1e-9  # relative to a bound on the pair costs' size
 
 
 @dataclass(frozen=True)
@@ -202,6 +210,17 @@ def eis_initialize(target: Embodiment, template: FunctionalTemplate, x_0: WorldF
     elite_fraction) best, and returns their coordinate-wise mean. Elites
     spanning more than pi on some joint trigger a warning (the arithmetic mean
     is kept; no circular-mean guessing).
+
+    Only candidates that can still be elites get an exact DCD. A cheap lower
+    bound on every candidate's DCD (`_dcd_lower_bounds`: per row, the least
+    over the other set's groups of smooth(distance to the group's box) - lam *
+    (largest dot product over the group's direction cone), lowered by a margin
+    of 1e-9 * (1 + largest pair cost)) orders the visits;
+    once the k = ceil(samples * elite_fraction) best exact DCDs so far are all
+    strictly below the next candidate's bound, every remaining candidate is
+    strictly worse than k scored ones and cannot be an elite. Skipped
+    candidates score -inf, so the stable ranking of the scored ones, the elite
+    set, its order and its mean are bit for bit those of scoring all of them.
     """
     if samples < 10:
         raise ValidationError(f"elite initialization needs at least 10 samples, got {samples}")
@@ -214,11 +233,22 @@ def eis_initialize(target: Embodiment, template: FunctionalTemplate, x_0: WorldF
 
     points, dirs = evaluate_world_set(target, candidates, template.link_names,
                                       template.points, template.normals)
-    scores = np.empty(samples)
-    for b in range(samples):
-        scores[b] = functional_similarity(x_0, WorldFuncRep(points[b], dirs[b]), metric)
-
+    _, link_of_row = np.unique(template.link_names, return_inverse=True)
+    bounds = _dcd_lower_bounds(x_0, points, dirs, link_of_row, metric)
     elite_count = int(np.ceil(samples * elite_fraction))
+    scores = np.full(samples, -np.inf)
+    kept: list[float] = []  # max-heap (negated) of the elite_count lowest exact DCDs
+    for b in np.argsort(bounds, kind="stable"):
+        if len(kept) == elite_count and bounds[b] > -kept[0]:
+            break
+        scores[b] = functional_similarity(x_0, WorldFuncRep(points[b], dirs[b]), metric)
+        # argsort ranks NaN last, so a NaN DCD counts as the worst value.
+        value = np.inf if np.isnan(scores[b]) else -scores[b]
+        if len(kept) < elite_count:
+            heapq.heappush(kept, -value)
+        elif value < -kept[0]:
+            heapq.heapreplace(kept, -value)
+
     order = np.argsort(-scores, kind="stable")
     elites = candidates[order[:elite_count]]
     span = elites.max(axis=0) - elites.min(axis=0)
@@ -230,3 +260,134 @@ def eis_initialize(target: Embodiment, template: FunctionalTemplate, x_0: WorldF
             stacklevel=2,
         )
     return elites.mean(axis=0)
+
+
+def _dcd_lower_bounds(x: WorldFuncRep, points: np.ndarray, dirs: np.ndarray,
+                      link_of_row: np.ndarray, metric: MetricConfig) -> np.ndarray:
+    """A lower bound on dcd(x, (points[b], dirs[b])) for every candidate b.
+
+    Split the candidate's rows into groups (its links) and x's rows into
+    groups (rows whose unit directions lie within `_GROUP_ANGLE` of a greedy
+    leader). For a row (p, n) and a group with world box H and direction cone
+    C (axis, half-angle, least and largest norm, all taken from the world-frame
+    rows themselves), every pair cost against the group is at least
+
+        smooth(dist(p, H)) - lam * max_{w in C} <n, w>,
+
+    because smooth() is monotone, and the cone holds every direction of the
+    group whatever its length or the link rotation's shape. The least of these
+    over the groups bounds the row's min term; the means of the row bounds of
+    both sums bound the DCD. Angles are widened by `_ANGLE_SLACK`, far above
+    the ~1e-7 rad that arccos can lose near +/-1, and the bound is lowered by
+    `_BOUND_MARGIN` * (1 + S), with S a bound on any pair cost's size, far
+    above the rounding of this bound and of the exact DCD. A bound that is not
+    finite becomes -inf, so that candidate is always scored exactly; so does
+    every bound of an empty `x`, whose exact DCD raises.
+    """
+    bounds = np.full(len(points), -np.inf)
+    if len(x) == 0:
+        return bounds
+    with np.errstate(all="ignore"):
+        link_starts, link_perm = _segments(link_of_row)
+        group_starts, group_perm = _segments(_direction_groups(x.directions))
+        source_points, source_dirs = x.points[group_perm], x.directions[group_perm]
+        source_norms = _row_norms(source_dirs)
+        source_cones = _cones(source_dirs, source_norms, group_starts)
+        source_lo = np.minimum.reduceat(source_points, group_starts, axis=0)
+        source_hi = np.maximum.reduceat(source_points, group_starts, axis=0)
+        lam, eps = metric.lam, metric.epsilon
+        # Each temporary holds block * (links * len(x) + groups * rows) entries.
+        per_candidate = len(link_starts) * len(x) + len(group_starts) * points.shape[1]
+        block_size = max(1, _BOUND_ENTRIES // per_candidate)
+        for start in range(0, len(points), block_size):
+            pts = points[start:start + block_size][:, link_perm]
+            nrm = dirs[start:start + block_size][:, link_perm]
+            norms = _row_norms(nrm)
+            lo = np.minimum.reduceat(pts, link_starts, axis=1)
+            hi = np.maximum.reduceat(pts, link_starts, axis=1)
+            forward = _smooth_norm(_box_distance(source_points, lo, hi), eps)
+            backward = _smooth_norm(_box_distance(pts, source_lo, source_hi), eps)
+            if lam != 0.0:
+                forward -= lam * _dot_upper(source_dirs, source_norms,
+                                            _cones(nrm, norms, link_starts))
+                backward -= lam * _dot_upper(nrm, norms, source_cones)
+            scale = 4.0 * np.maximum(np.abs(source_points).max(), np.abs(pts).max(axis=(1, 2))) \
+                + lam * source_norms.max() * norms.max(axis=1)
+            block = forward.min(axis=-2).mean(axis=-1) + backward.min(axis=-2).mean(axis=-1)
+            bounds[start:start + block_size] = block - _BOUND_MARGIN * (1.0 + scale)
+    return np.where(np.isfinite(bounds), bounds, -np.inf)
+
+
+def _segments(group_of_row: np.ndarray):
+    """(starts, perm): `perm` orders the rows by group (stably) and `starts`
+    marks where each group begins, for `reduceat`."""
+    perm = np.argsort(group_of_row, kind="stable")
+    ordered = group_of_row[perm]
+    return np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]), perm
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...k,...k->...", v, v))
+
+
+def _direction_groups(dirs: np.ndarray) -> np.ndarray:
+    """Greedy leader grouping: each row not yet grouped leads a group of the
+    ungrouped rows within `_GROUP_ANGLE` of it. Zero rows form one group."""
+    norms = _row_norms(dirs)
+    units = np.divide(dirs, norms[:, None], out=np.zeros_like(dirs), where=norms[:, None] > 0)
+    group = np.where(norms > 0, -1, 0)
+    cos_limit = np.cos(_GROUP_ANGLE)
+    label = 1
+    for leader in range(len(dirs)):
+        if group[leader] >= 0:
+            continue
+        group[(group < 0) & (units @ units[leader] >= cos_limit)] = label
+        group[leader] = label
+        label += 1
+    return group
+
+
+def _cones(dirs: np.ndarray, norms: np.ndarray, starts: np.ndarray):
+    """Per group of rows (axis -2, split at `starts`): an axis, a half-angle
+    holding every non-zero direction, and the least and largest norm. A zero
+    direction lies in every cone; it sets the least norm to 0. The axis is unit
+    or, when the directions cancel, zero: then every angle to it reads pi/2,
+    the half-angle too, and the cone holds every direction."""
+    units = np.divide(dirs, norms[..., None], out=np.zeros_like(dirs),
+                      where=norms[..., None] > 0)
+    axis = np.add.reduceat(units, starts, axis=-2)
+    length = _row_norms(axis)
+    axis = np.divide(axis, length[..., None], out=np.zeros_like(axis),
+                     where=length[..., None] > 0)
+    counts = np.diff(np.r_[starts, dirs.shape[-2]])
+    cos = np.sum(units * np.repeat(axis, counts, axis=-2), axis=-1)
+    cos = np.where(norms > 0, cos, 1.0)
+    half = np.arccos(np.clip(np.minimum.reduceat(cos, starts, axis=-1), -1.0, 1.0))
+    return (axis, half + _ANGLE_SLACK, np.minimum.reduceat(norms, starts, axis=-1),
+            np.maximum.reduceat(norms, starts, axis=-1))
+
+
+def _dot_upper(dirs: np.ndarray, norms: np.ndarray, cones) -> np.ndarray:
+    """Upper bound of <n, w> over every w of each cone: cones (..., K) against
+    rows (..., N, 3) -> (..., K, N). The angle between n and any w is at least
+    psi = max(0, angle(n, axis) - half), so <n, w> <= |n| |w| cos(psi), largest
+    at the largest |w| when cos(psi) >= 0 and at the least |w| otherwise."""
+    axis, half, least, largest = cones
+    dot = axis @ dirs.swapaxes(-1, -2)
+    cos = np.divide(dot, norms[..., None, :], out=np.ones_like(dot),
+                    where=norms[..., None, :] > 0)
+    angle = np.arccos(np.clip(cos, -1.0, 1.0)) - _ANGLE_SLACK
+    cos_psi = np.cos(np.maximum(angle - half[..., :, None], 0.0))
+    reach = np.where(cos_psi >= 0.0, largest[..., :, None], least[..., :, None])
+    return norms[..., None, :] * cos_psi * reach
+
+
+def _box_distance(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Distance from each box (..., K, 3) to each point (..., N, 3) -> (..., K, N)."""
+    sq = 0.0
+    for k in range(3):
+        p = points[..., None, :, k]
+        gap = np.maximum(lo[..., :, None, k] - p, p - hi[..., :, None, k])
+        np.maximum(gap, 0.0, out=gap)
+        sq = sq + gap * gap
+    return np.sqrt(sq)

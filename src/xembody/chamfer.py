@@ -144,18 +144,19 @@ def _cotangent_from_matches(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig
                             fwd: np.ndarray, bwd: np.ndarray):
     n, m = len(x), len(xp)
 
-    # Forward sum: each i contributes to its matched j = fwd[i]; scatter-add
-    # via bincount (much cheaper than np.add.at for small sets).
+    # Forward sum: each i contributes to its matched j = fwd[i]. One bincount
+    # scatters every column at once: bin fwd[i] * width + k adds column k of
+    # row i, in ascending i from 0.0, as a per-column bincount would.
+    width = 6 if cfg.lam != 0.0 else 3
+    weights = np.empty((n, width))  # [d smooth(|p' - p|) / N | -lam / N * n]
     diff = xp.points[fwd] - x.points  # (N, 3)
-    d_smooth = _smooth_norm_grad(diff, cfg.epsilon) / n
-    d_points = np.stack([np.bincount(fwd, weights=d_smooth[:, k], minlength=m)
-                         for k in range(3)], axis=1)
+    np.divide(_smooth_norm_grad(diff, cfg.epsilon), n, out=weights[:, :3])
     if cfg.lam != 0.0:
-        scaled = (-cfg.lam / n) * x.directions
-        d_dirs = np.stack([np.bincount(fwd, weights=scaled[:, k], minlength=m)
-                           for k in range(3)], axis=1)
-    else:
-        d_dirs = np.zeros((m, 3))
+        np.multiply(-cfg.lam / n, x.directions, out=weights[:, 3:])
+    bins = (fwd[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(bins, weights=weights.ravel(), minlength=m * width).reshape(m, width)
+    d_points = sums[:, :3]
+    d_dirs = sums[:, 3:] if cfg.lam != 0.0 else np.zeros((m, 3))
 
     # Backward sum: each j contributes with its matched i = bwd[j].
     diff = xp.points - x.points[bwd]  # (M, 3)

@@ -139,9 +139,13 @@ def read_demonstration(path: str | Path, expected_checksum: str | None = None) -
     blocks = []
     for t in range(length):
         block_path = path / "frames" / f"{t:06d}.bin"
-        if not block_path.exists():
-            raise DatasetFormatError(f"{path}: missing frame block {block_path.name}")
-        blocks.append(block_path.read_bytes())
+        try:
+            blocks.append(block_path.read_bytes())
+        except FileNotFoundError:
+            raise DatasetFormatError(f"{path}: missing frame block {block_path.name}") from None
+        except OSError as err:
+            raise DatasetFormatError(
+                f"{path}: cannot read frame block {block_path.name}: {err.strerror}") from err
     if expected_checksum is not None:
         actual = _checksum(blocks)
         if actual != expected_checksum:

@@ -214,7 +214,11 @@ def load_mesh_file(path: str | Path) -> TriMesh:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".obj":
-        return load_obj(path.read_text())
+        try:
+            return load_obj(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as err:
+            raise ValidationError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") \
+                from err
     if suffix == ".stl":
         return load_stl(path.read_bytes())
     raise ValidationError(f"unsupported mesh format {suffix!r} (expected .obj or .stl)")

@@ -716,9 +716,13 @@ def load_embodiment(
 
 def _read_description(path: Path, parse):
     """`parse(text of path)`; a file that cannot be read (or a mesh file it
-    references) and malformed contents raise a DescriptionError naming the file."""
+    references), text that is not UTF-8 and malformed contents raise a
+    DescriptionError naming the file."""
     try:
-        return parse(path.read_text())
+        return parse(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:  # mesh files report their own
+        raise DescriptionError(f"{path}: not UTF-8 text (byte {err.start}: {err.reason})") \
+            from err
     except OSError as err:
         raise DescriptionError(f"cannot read {err.filename or path}: {err.strerror}") from err
     except DescriptionError as err:

@@ -1,14 +1,20 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from xembody import align
 from xembody import (AlignmentConfig, AlignmentError, MetricConfig, ValidationError,
-                     align_frame, align_trajectory, build_template, eis_initialize,
+                     align_frame, align_trajectory, build_template, dcd, eis_initialize,
                      eval_template, functional_similarity, joint_limit_penalty,
                      template_trajectory)
-from xembody.align import minimize_with_patience
+from xembody.align import _dcd_lower_bounds, minimize_with_patience
 from xembody.funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep
-from xembody.kinematics import _fk_frames
+from xembody.kinematics import _fk_frames, evaluate_world_set
 from xembody.robot import EmbodimentManifest, JointSpec, LinkSpec, build_embodiment
 from xembody.transforms import rotation_about_axis
 
@@ -226,6 +232,13 @@ def test_eis_requires_ten_samples(gripper1):
         eis_initialize(gripper1, template, x0, samples=5)
 
 
+def test_eis_rejects_an_empty_source_set(gripper1):
+    template = build_template(gripper1, gripper1.pad_links, 4, seed=0)
+    empty = WorldFuncRep(np.zeros((0, 3)), np.zeros((0, 3)))
+    with pytest.raises(ValidationError, match="non-empty"):
+        eis_initialize(gripper1, template, empty, samples=10)
+
+
 def test_eis_warns_on_wide_elite_span():
     # A joint with no effect on the template: every candidate scores the same,
     # so the elites are an arbitrary wide slice of a +/-2pi range.
@@ -248,3 +261,121 @@ def test_alignment_config_validation():
         AlignmentConfig(patience=0)
     with pytest.raises(ValidationError):
         AlignmentConfig(step_size=0.0)
+
+
+def _eis_reference(target, template, x_0, samples, elite_fraction=0.10, seed=0, cfg=None):
+    """The scoring loop `eis_initialize` replaced: an exact DCD for every
+    candidate. Its elites, their order and their mean must come out bit-equal."""
+    metric = cfg.metric if cfg is not None else MetricConfig()
+    rng = np.random.default_rng(seed)
+    candidates = rng.uniform(target.lower_limits, target.upper_limits,
+                             size=(samples, target.dof))
+    points, dirs = evaluate_world_set(target, candidates, template.link_names,
+                                      template.points, template.normals)
+    scores = np.empty(samples)
+    for b in range(samples):
+        scores[b] = functional_similarity(x_0, WorldFuncRep(points[b], dirs[b]), metric)
+    elite_count = int(np.ceil(samples * elite_fraction))
+    order = np.argsort(-scores, kind="stable")
+    elites = candidates[order[:elite_count]]
+    span = elites.max(axis=0) - elites.min(axis=0)
+    if np.any(span > np.pi):
+        warnings.warn("elite configurations span more than pi radians", stacklevel=2)
+    return elites.mean(axis=0)
+
+
+@st.composite
+def eis_cases(draw):
+    """A random chain whose pads are flat plates (narrow direction cones),
+    box meshes (wide cones) or only the base (no joint moves them, so every
+    score ties), optionally with degenerate limits, and a source set whose
+    directions may not be unit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pads_on = draw(st.sampled_from(["plates", "boxes", "base"]))
+    degenerate = draw(st.booleans())
+    n_joints = draw(st.integers(1, 4))
+
+    def geometry():
+        if pads_on == "boxes":
+            return helpers.box_mesh(rng.uniform(0.01, 0.04, size=3))
+        return helpers.pad_plate(*rng.uniform(0.005, 0.02, size=2), rng.choice([-1.0, 1.0]))
+
+    links = [LinkSpec("link0", helpers.box_mesh((0.02, 0.02, 0.02)))]
+    joints, pads = [], ["link0"] if pads_on == "base" else []
+    for k in range(n_joints):
+        axis = rng.normal(size=3)
+        turn = rng.normal(size=3)
+        rotation = rotation_about_axis(turn / np.linalg.norm(turn), rng.uniform(-np.pi, np.pi))
+        lower, upper = rng.uniform(-1.5, -0.05), rng.uniform(0.05, 1.5)
+        if degenerate and rng.random() < 0.5:
+            lower = upper
+        links.append(LinkSpec(f"link{k + 1}", geometry()))
+        joints.append(JointSpec(f"q{k}", str(rng.choice(["revolute", "prismatic", "fixed"])),
+                                f"link{k}", f"link{k + 1}", axis=axis / np.linalg.norm(axis),
+                                origin_rotation=rotation,
+                                origin_translation=rng.uniform(-0.1, 0.1, size=3),
+                                lower=lower, upper=upper))
+        if pads_on != "base" and (k == n_joints - 1 or rng.random() < 0.5):
+            pads.append(f"link{k + 1}")
+    if all(j.kind == "fixed" for j in joints):
+        joints[-1] = dataclasses.replace(joints[-1], kind="revolute")
+    e = build_embodiment("chain", links, joints, EmbodimentManifest(pad_links=tuple(pads)))
+    template = build_template(e, pads, draw(st.integers(1, 12)), seed=int(rng.integers(1 << 30)))
+
+    x_0 = eval_template(e, template, rng.uniform(e.lower_limits, e.upper_limits))
+    points = x_0.points + rng.normal(scale=draw(st.sampled_from([0.0, 0.01])), size=(len(x_0), 3))
+    dirs = x_0.directions
+    if draw(st.booleans()):  # lengths from 0 to 2
+        dirs = dirs * rng.choice([0.0, 0.5, 1.0, 2.0], size=(len(x_0), 1))
+    cfg = AlignmentConfig(metric=MetricConfig(draw(st.sampled_from([0.0, 0.5, 2.0])),
+                                              draw(st.sampled_from([0.0, 1e-9]))))
+    samples, fraction = draw(st.sampled_from([(10, 0.1), (40, 0.1), (200, 0.1), (200, 0.35),
+                                              (30, 1.0)]))
+    return e, template, WorldFuncRep(points, dirs), samples, fraction, cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=eis_cases(), seed=st.integers(0, 2**32 - 1))
+def test_eis_equals_scoring_every_candidate(case, seed):
+    e, template, x_0, samples, fraction, cfg = case
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = eis_initialize(e, template, x_0, samples, fraction, seed, cfg)
+    with warnings.catch_warnings(record=True) as want_warnings:
+        warnings.simplefilter("always")
+        want = _eis_reference(e, template, x_0, samples, fraction, seed, cfg)
+    assert np.array_equal(got, want)
+    assert len(got_warnings) == len(want_warnings)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=eis_cases(), seed=st.integers(0, 2**32 - 1), skewed=st.booleans())
+def test_dcd_lower_bound_holds_for_every_candidate(case, seed, skewed):
+    e, template, x_0, samples, _, cfg = case
+    rng = np.random.default_rng(seed)
+    qs = rng.uniform(e.lower_limits, e.upper_limits, (samples, e.dof))
+    points, dirs = evaluate_world_set(e, qs, template.link_names, template.points,
+                                      template.normals)
+    _, link_of_row = np.unique(template.link_names, return_inverse=True)
+    if skewed:  # link frames that are not orthonormal: directions of any length
+        for link in np.unique(link_of_row):
+            rows = link_of_row == link
+            points[:, rows] = points[:, rows] @ (np.eye(3) + rng.normal(scale=0.3, size=(3, 3)))
+            dirs[:, rows] = dirs[:, rows] @ (np.eye(3) + rng.normal(scale=0.3, size=(3, 3)))
+    bounds = _dcd_lower_bounds(x_0, points, dirs, link_of_row, cfg.metric)
+    exact = [dcd(x_0, WorldFuncRep(p, d), cfg.metric) for p, d in zip(points, dirs)]
+    assert np.all(bounds <= exact)
+
+
+def test_eis_scores_few_candidates_exactly(gripper1, hand6, monkeypatch):
+    # The bench's augment shape: 64 template points per pad link, 1,000 samples.
+    source = build_template(gripper1, gripper1.pad_links, 64, seed=1)
+    target = build_template(hand6, hand6.pad_links, 64, seed=2)
+    x_0 = eval_template(gripper1, source, np.array([-0.03]))
+    scored = []
+    exact = align.functional_similarity
+    monkeypatch.setattr(align, "functional_similarity",
+                        lambda *args: scored.append(1) or exact(*args))
+    q = eis_initialize(hand6, target, x_0, samples=1000, seed=4)
+    assert len(scored) < 250
+    assert np.array_equal(q, _eis_reference(hand6, target, x_0, samples=1000, seed=4))

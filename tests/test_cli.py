@@ -287,8 +287,11 @@ def _edit_manifest(demo: Path, edit) -> None:
         arm_dof=-1, ee_dof=doc["arm_dof"] + doc["ee_dof"] + 1)),
     lambda demo: _edit_manifest(demo, lambda doc: doc.update(seed=str(doc["seed"]))),
     lambda demo: (demo / "manifest.json").unlink() or (demo / "manifest.json").mkdir(),
+    lambda demo: (demo / "frames" / "000001.bin").unlink()
+    or (demo / "frames" / "000001.bin").mkdir(),
 ], ids=["missing-frame", "cut-manifest", "no-length", "string-length", "fractional-arm-dof",
-        "negative-arm-dof", "string-seed", "manifest-is-a-directory"])
+        "negative-arm-dof", "string-seed", "manifest-is-a-directory",
+        "frame-block-is-a-directory"])
 def test_validate_reports_damaged_demo(source_dataset, damage, capsys):
     damage(source_dataset / "demo0")
     assert main(["validate", str(source_dataset)]) == 1
@@ -600,6 +603,19 @@ def _missing_file(tmp_path, hand6):
     return path, "No such file"
 
 
+def _not_utf8(tmp_path, hand6):
+    path = tmp_path / "hand6.json"
+    path.write_bytes(b"\xff\xfe" + serialize_embodiment(hand6).encode())
+    return path, "not UTF-8"
+
+
+def _sidecar_not_utf8(tmp_path, hand6):
+    (tmp_path / "hand6.json").write_text(serialize_embodiment(hand6))
+    sidecar = tmp_path / "hand6.manifest.json"
+    sidecar.write_bytes(b"\xff\xfe" + json.dumps({"pad_links": list(hand6.pad_links)}).encode())
+    return sidecar, "not UTF-8"
+
+
 def _sidecar_field(key, value, detail):
     """hand6 with a sidecar manifest whose `key` is `value`."""
     def case(tmp_path, hand6):
@@ -658,6 +674,8 @@ def _string_scale(geometry, tmp_path):
 
 BAD_DESCRIPTIONS = {
     "missing-file": _missing_file,
+    "not-utf8": _not_utf8,
+    "sidecar-not-utf8": _sidecar_not_utf8,
     "link-without-name": _nameless_link,
     "workspace-without-max": _sidecar_field("workspace", {"min": [0, 0, 0]}, "'max'"),
     "not-an-object": _not_an_object,

@@ -290,6 +290,23 @@ def test_load_embodiment_with_sidecar(tmp_path, gripper1):
     assert np.allclose(e2.base_translation, [0, 0, 0.5])
 
 
+def test_urdf_that_is_not_utf8_names_the_file(tmp_path):
+    # The CLI tests cover a native .json description and a sidecar manifest.
+    path = tmp_path / "planar2.urdf"
+    path.write_bytes(b"\xff\xfe" + PLANAR2_URDF.encode())
+    with pytest.raises(DescriptionError, match=f"{path}: not UTF-8 text"):
+        load_embodiment(path)
+
+
+def test_mesh_file_that_is_not_utf8_names_the_mesh(tmp_path):
+    (tmp_path / "tri.obj").write_bytes(b"\xff\xfev 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    path = tmp_path / "meshy.urdf"
+    path.write_text('<robot name="meshy"><link name="base"><visual><geometry>'
+                    '<mesh filename="tri.obj"/></geometry></visual></link></robot>')
+    with pytest.raises(ValidationError, match=f"{tmp_path / 'tri.obj'}: not UTF-8 text"):
+        load_embodiment(path)
+
+
 def test_urdf_mesh_reference_and_scale(tmp_path):
     (tmp_path / "tri.obj").write_text("v 0 0 0\nv 2 0 0\nv 0 2 0\nf 1 2 3\n")
     doc = """
