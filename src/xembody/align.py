@@ -13,16 +13,18 @@ last one.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chamfer import (MetricConfig, _smooth_norm, dcd, dcd_value_and_cotangent,
+from .chamfer import (MetricConfig, _DcdWorkspace, _smooth_norm, dcd, dcd_value_and_cotangent,
                       functional_similarity)
 from .errors import AlignmentError, ValidationError
-from .funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep, eval_template
-from .kinematics import _resolve_link_indices, evaluate_with_pullback, evaluate_world_set
+from .funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep
+from .kinematics import (_PullbackWorkspace, _resolve_link_indices, evaluate_with_pullback,
+                         evaluate_world_set)
 from .robot import Embodiment
 
 IMPROVEMENT_TOL = 1e-8  # minimum decrease of the best loss that counts as progress
@@ -46,6 +48,9 @@ class AlignmentConfig:
     step_size: float = 0.01
 
     def __post_init__(self):
+        for name in ("w1", "w2", "step_size"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.w1 < 0 or self.w2 < 0:
             raise ValidationError("loss weights must be non-negative")
         if self.max_steps < 1:
@@ -91,17 +96,18 @@ def joint_limit_penalty(q: np.ndarray, e: Embodiment) -> tuple[float, np.ndarray
     q = e.check_configuration(q)
     over = np.maximum(0.0, q - e.upper_limits)
     under = np.maximum(0.0, e.lower_limits - q)
-    return float(np.sum(over * over) + np.sum(under * under)), 2.0 * (over - under)
+    return float((over * over).sum() + (under * under).sum()), 2.0 * (over - under)
 
 
 def minimize_with_patience(value_and_grad, q0: np.ndarray, cfg: AlignmentConfig,
                            context: str = ""):
     """Adam descent with a step cap and best-loss patience.
 
-    `value_and_grad(q) -> (loss, grad)`. Returns
-    (best_q, loss_trace, steps_used, early_stopped). One step = one gradient
-    evaluation at the current iterate followed by one parameter update (the
-    update is skipped when patience triggers).
+    `value_and_grad(q) -> (loss, grad)`; it must not keep `q`, which is
+    updated in place. Returns (best_q, best_loss, loss_trace, steps_used,
+    early_stopped). One step = one gradient evaluation at the current iterate
+    followed by one parameter update (the update is skipped when patience
+    triggers).
     """
     q = np.array(q0, dtype=float)
     best_q = q.copy()
@@ -112,29 +118,107 @@ def minimize_with_patience(value_and_grad, q0: np.ndarray, cfg: AlignmentConfig,
     early = False
     m = np.zeros_like(q)
     v = np.zeros_like(q)
+    m_hat = np.empty_like(q)
+    v_hat = np.empty_like(q)
     beta1, beta2, tiny = 0.9, 0.999, 1e-8
 
     for step in range(1, cfg.max_steps + 1):
         loss, grad = value_and_grad(q)
-        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+        if not (math.isfinite(loss) and np.isfinite(grad).all()):
             raise AlignmentError(f"non-finite loss or gradient{context}")
         trace.append(float(loss))
         steps = step
         if loss < best - IMPROVEMENT_TOL:
             best = float(loss)
-            best_q = q.copy()
+            best_q[:] = q
             bad = 0
         else:
             bad += 1
             if bad >= cfg.patience:
                 early = True
                 break
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1**step)
-        v_hat = v / (1.0 - beta2**step)
-        q = q - cfg.step_size * m_hat / (np.sqrt(v_hat) + tiny)
-    return best_q, trace, steps, early
+        # m = beta1 * m + (1 - beta1) * grad and v = beta2 * v + (1 - beta2) * grad * grad,
+        # then q -= step_size * m_hat / (sqrt(v_hat) + tiny), in place in that order.
+        m *= beta1
+        m += np.multiply(grad, 1.0 - beta1, out=m_hat)
+        v *= beta2
+        np.multiply(grad, 1.0 - beta2, out=v_hat)
+        v_hat *= grad
+        v += v_hat
+        np.divide(m, 1.0 - beta1**step, out=m_hat)
+        np.divide(v, 1.0 - beta2**step, out=v_hat)
+        m_hat *= cfg.step_size
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += tiny
+        m_hat /= v_hat
+        q -= m_hat
+    return best_q, best, trace, steps, early
+
+
+class _AlignmentWorkspace:
+    """What alignment of one trajectory computes once: the template's link
+    indices, the kinematic and DCD buffers, and per frame the source set.
+
+    `value_and_grad` is the per-step objective. It calls
+    `evaluate_with_pullback`, `dcd_value_and_cotangent` and
+    `joint_limit_penalty` once each through this module, with the arguments of
+    a call without buffers and the buffers by keyword, so a wrapper around any
+    of them still sees every step.
+    """
+
+    def __init__(self, target: Embodiment, template: FunctionalTemplate, source_rows: int,
+                 cfg: AlignmentConfig):
+        self.target, self.template, self.cfg = target, template, cfg
+        self.link_indices = _resolve_link_indices(target, template.link_names)
+        self.kinematics = _PullbackWorkspace(target, self.link_indices, template.points,
+                                             template.normals)
+        self.matching = _DcdWorkspace(source_rows, len(template), cfg.metric)
+        self.world = WorldFuncRep(*self.kinematics.world)  # views of the world buffers
+        self.report_metric = MetricConfig(lam=cfg.metric.lam, epsilon=0.0)
+        self.frame: WorldFuncRep | None = None  # the source set being aligned
+
+    def value_and_grad(self, q: np.ndarray):
+        cfg, target, template = self.cfg, self.target, self.template
+        pts, dirs, pullback = evaluate_with_pullback(
+            target, q, self.link_indices, template.points, template.normals,
+            workspace=self.kinematics)
+        world = self.world if pts is self.world.points and dirs is self.world.directions \
+            else WorldFuncRep(pts, dirs)
+        value, d_pts, d_dirs = dcd_value_and_cotangent(self.frame, world, cfg.metric,
+                                                        workspace=self.matching)
+        penalty, penalty_grad = joint_limit_penalty(q, target)
+        d_pts *= cfg.w1
+        d_dirs *= cfg.w1
+        grad = pullback(d_pts, d_dirs)
+        penalty_grad *= cfg.w2
+        grad += penalty_grad
+        return cfg.w1 * value + cfg.w2 * penalty, grad
+
+    def align(self, x_t: WorldFuncRep, q_init: np.ndarray, context: str):
+        """(q_hat, FrameDiagnostics) of one frame; see `align_frame`."""
+        cfg, target = self.cfg, self.target
+        self.frame = x_t
+        best_q, best, trace, steps, early = minimize_with_patience(
+            self.value_and_grad, q_init, cfg, context)
+        q_hat = np.clip(best_q, target.lower_limits, target.upper_limits)
+
+        # The DCD and penalty at an unclamped best iterate are the ones its step
+        # recorded, from the same walk, world set and matches, so its loss is reused.
+        self.kinematics.evaluate(q_hat)
+        final_dcd = dcd(x_t, self.world, self.report_metric, workspace=self.matching)
+        if q_hat.tobytes() == best_q.tobytes():
+            final_loss = best
+        else:
+            final_loss = cfg.w1 * dcd(x_t, self.world, cfg.metric, workspace=self.matching) \
+                + cfg.w2 * joint_limit_penalty(q_hat, target)[0]
+        diag = FrameDiagnostics(
+            final_loss=float(final_loss),
+            final_dcd=float(final_dcd),
+            steps_used=steps,
+            early_stopped=early,
+            loss_trace=tuple(trace),
+        )
+        return q_hat, diag
 
 
 def align_frame(target: Embodiment, template: FunctionalTemplate, x_t: WorldFuncRep,
@@ -149,35 +233,7 @@ def align_frame(target: Embodiment, template: FunctionalTemplate, x_t: WorldFunc
     cfg = cfg or AlignmentConfig()
     q_init = target.check_configuration(q_init)
     context = "" if frame_index is None else f" at frame {frame_index}"
-
-    link_indices = _resolve_link_indices(target, template.link_names)
-    local_points = template.points
-    local_normals = template.normals
-
-    def value_and_grad(q):
-        pts, dirs, pullback = evaluate_with_pullback(target, q, link_indices,
-                                                     local_points, local_normals)
-        value, d_pts, d_dirs = dcd_value_and_cotangent(x_t, WorldFuncRep(pts, dirs), cfg.metric)
-        penalty, penalty_grad = joint_limit_penalty(q, target)
-        grad = pullback(cfg.w1 * d_pts, cfg.w1 * d_dirs)
-        grad += cfg.w2 * penalty_grad
-        return cfg.w1 * value + cfg.w2 * penalty, grad
-
-    best_q, trace, steps, early = minimize_with_patience(value_and_grad, q_init, cfg, context)
-    q_hat = np.clip(best_q, target.lower_limits, target.upper_limits)
-
-    x_hat = eval_template(target, template, q_hat)
-    final_dcd = dcd(x_t, x_hat, MetricConfig(lam=cfg.metric.lam, epsilon=0.0))
-    final_loss = cfg.w1 * dcd(x_t, x_hat, cfg.metric) \
-        + cfg.w2 * joint_limit_penalty(q_hat, target)[0]
-    diag = FrameDiagnostics(
-        final_loss=float(final_loss),
-        final_dcd=float(final_dcd),
-        steps_used=steps,
-        early_stopped=early,
-        loss_trace=tuple(trace),
-    )
-    return q_hat, diag
+    return _AlignmentWorkspace(target, template, len(x_t), cfg).align(x_t, q_init, context)
 
 
 def align_trajectory(source_traj: FuncRepTrajectory, target: Embodiment,
@@ -187,14 +243,16 @@ def align_trajectory(source_traj: FuncRepTrajectory, target: Embodiment,
 
     Frame 0 starts from `q0_init` (default: the target's mid-range
     configuration); frame t+1 starts from the optimized result of frame t.
+    The frames share one workspace of buffers and per-trajectory constants.
     """
     cfg = cfg or AlignmentConfig()
     q = target.mid_range_configuration() if q0_init is None else \
         target.check_configuration(q0_init)
+    workspace = _AlignmentWorkspace(target, template, len(source_traj[0]), cfg)
     configs = np.empty((len(source_traj), target.dof))
     diags: list[FrameDiagnostics] = []
     for t, frame in enumerate(source_traj.frames):
-        q, diag = align_frame(target, template, frame, q, cfg, frame_index=t)
+        q, diag = workspace.align(frame, q, f" at frame {t}")
         configs[t] = q
         diags.append(diag)
     return AlignedTrajectory(configs, tuple(diags))
@@ -238,10 +296,12 @@ def eis_initialize(target: Embodiment, template: FunctionalTemplate, x_0: WorldF
     elite_count = int(np.ceil(samples * elite_fraction))
     scores = np.full(samples, -np.inf)
     kept: list[float] = []  # max-heap (negated) of the elite_count lowest exact DCDs
+    workspace = _DcdWorkspace(len(x_0), len(template), metric)
     for b in np.argsort(bounds, kind="stable"):
         if len(kept) == elite_count and bounds[b] > -kept[0]:
             break
-        scores[b] = functional_similarity(x_0, WorldFuncRep(points[b], dirs[b]), metric)
+        scores[b] = functional_similarity(x_0, WorldFuncRep(points[b], dirs[b]), metric,
+                                          workspace=workspace)
         # argsort ranks NaN last, so a NaN DCD counts as the worst value.
         value = np.inf if np.isnan(scores[b]) else -scores[b]
         if len(kept) < elite_count:

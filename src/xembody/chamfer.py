@@ -27,6 +27,8 @@ from .funcrep import WorldFuncRep
 # is long, so that one block stays near BLOCK_ENTRIES entries.
 BLOCK_ROWS = 256
 BLOCK_ENTRIES = 1 << 18
+# Below this many cost entries, broadcasting from a column beats copying into tiles.
+_TILE_ENTRIES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -37,19 +39,28 @@ class MetricConfig:
     epsilon: float = 0.0  # norm smoothing; keep 0 for evaluation/reporting
 
     def __post_init__(self):
+        for name in ("lam", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValidationError(f"lambda must be non-negative, got {self.lam}")
         if self.epsilon < 0:
             raise ValidationError(f"epsilon must be non-negative, got {self.epsilon}")
 
 
-def _smooth_norm(d: np.ndarray, eps: float) -> np.ndarray:
+def _smooth_norm(d: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(d^2 + eps^2) - eps, elementwise; into `out` (which may be `d`) if given."""
     if eps == 0.0:
         return d
-    return np.sqrt(d * d + eps * eps) - eps
+    out = np.multiply(d, d, out=out)
+    out += eps * eps
+    np.sqrt(out, out=out)
+    out -= eps
+    return out
 
 
-def _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg: MetricConfig) -> np.ndarray:
+def _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg: MetricConfig,
+                out: np.ndarray | None = None, tiles: np.ndarray | None = None) -> np.ndarray:
     """(N, M) combined-term matrix: smooth(|p_a - p_b|) - lam * <n_a, n_b>.
 
     Each sum over the three axes runs as (x + z) + y, one (N, M) ufunc pass
@@ -59,117 +70,234 @@ def _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg: MetricConfig) -> np.nda
     Negated differences square to the same value and products commute, so
     the matrix for (b, a) is exactly the transpose of the one for (a, b),
     which makes dcd(X, X') == dcd(X', X) exact. BLAS matmul would not be.
+
+    `out`, of shape (3, N, M), holds the work; the result is one of its
+    planes. Without it, fresh arrays are used. `tiles`, of shape (6, N, M),
+    holds a's point and direction coordinates (x, y, z each) repeated along
+    each row: an outer difference or product then runs as a copy of b's
+    coordinate (from a contiguous row) into every row and one pass over whole
+    arrays, which numpy runs faster than the broadcast from a column. Each
+    entry is the same operation on the same two numbers either way.
     """
-    sq = np.subtract(points_a[:, 0, None], points_b[:, 0])
+    sq, tmp, dot = np.empty((3, len(points_a), len(points_b))) if out is None else out
+    if tiles is not None:
+        rows_b = np.empty((6, len(points_b)))
+        rows_b[:3] = points_b.T
+        rows_b[3:] = dirs_b.T
+
+    def outer(op, a, b, k, plane, into):
+        if tiles is None:
+            return op(a[:, k, None], b[:, k], out=into)
+        np.copyto(into, rows_b[plane])
+        return op(tiles[plane], into, out=into)
+
+    outer(np.subtract, points_a, points_b, 0, 0, sq)
     np.multiply(sq, sq, out=sq)
-    tmp = np.subtract(points_a[:, 2, None], points_b[:, 2])
+    outer(np.subtract, points_a, points_b, 2, 2, tmp)
     np.multiply(tmp, tmp, out=tmp)
     np.add(sq, tmp, out=sq)
-    np.subtract(points_a[:, 1, None], points_b[:, 1], out=tmp)
+    outer(np.subtract, points_a, points_b, 1, 1, tmp)
     np.multiply(tmp, tmp, out=tmp)
     np.add(sq, tmp, out=sq)
-    cost = _smooth_norm(np.sqrt(sq, out=sq), cfg.epsilon)
+    cost = _smooth_norm(np.sqrt(sq, out=sq), cfg.epsilon, out=sq)
     if cfg.lam != 0.0:
-        dot = np.multiply(dirs_a[:, 0, None], dirs_b[:, 0])
-        np.multiply(dirs_a[:, 2, None], dirs_b[:, 2], out=tmp)
+        outer(np.multiply, dirs_a, dirs_b, 0, 3, dot)
+        outer(np.multiply, dirs_a, dirs_b, 2, 5, tmp)
         np.add(dot, tmp, out=dot)
-        np.multiply(dirs_a[:, 1, None], dirs_b[:, 1], out=tmp)
+        outer(np.multiply, dirs_a, dirs_b, 1, 4, tmp)
         np.add(dot, tmp, out=dot)
         np.multiply(dot, cfg.lam, out=dot)
         cost = np.subtract(cost, dot, out=dot)
     return cost
 
 
-def _block_matches(points, dirs, xp: WorldFuncRep, cfg: MetricConfig):
-    """Argmins of one block of rows: (fwd, bwd, fwd_vals, bwd_vals)."""
-    cost = _pair_costs(points, dirs, xp.points, xp.directions, cfg)
-    fwd = np.argmin(cost, axis=1)  # first occurrence = lowest index on ties
-    bwd = np.argmin(cost, axis=0)
-    n, m = cost.shape
-    return fwd, bwd, cost[np.arange(n), fwd], cost[bwd, np.arange(m)]
+class _DcdWorkspace:
+    """Buffers for DCD matches and cotangents between a source set of `n` rows
+    and sets of `m` rows under one metric, so that repeated calls allocate
+    nothing of the cost matrix's size.
+
+    Per source set it keeps the cotangent's direction terms (-lam/N * n and
+    -lam/M * n) and, when the cost matrix is one block of at least
+    `_TILE_ENTRIES` entries, the source coordinate tiles of `_pair_costs`. A
+    call on another source set than the previous one recomputes them, so a
+    source set must not change in place while a workspace uses it.
+    """
+
+    def __init__(self, n: int, m: int, cfg: MetricConfig):
+        if n == 0 or m == 0:
+            raise ValidationError("directional Chamfer distance needs non-empty sets")
+        self.n, self.m, self.cfg = n, m, cfg
+        rows = min(n, _block_rows(m))
+        self.costs = np.empty((3, rows, m))
+        self.tiles = np.empty((6, n, m)) if n == rows and n * m >= _TILE_ENTRIES else None
+        self.matches = (np.empty(n, dtype=np.intp), np.empty(m, dtype=np.intp),
+                        np.empty(n), np.empty(m))
+        self.block_bwd = (np.empty(m, dtype=np.intp), np.empty(m))
+        self.row_starts = np.arange(rows) * m  # flat index of each cost row
+        self.columns = np.arange(m)
+        self.flat = np.empty(max(rows, m), dtype=np.intp)
+        self.width = 6 if cfg.lam != 0.0 else 3
+        self.lanes = np.arange(self.width)
+        self.weights = np.empty((n, self.width))  # [d smooth(|p' - p|) / N | -lam / N * n]
+        self.bins = np.empty((n, self.width), dtype=np.intp)
+        self.diffs = np.empty((n + m, 3))  # [p'[fwd] - p; p' - p[bwd]]
+        self.dir_terms = np.empty((m, 3))
+        self.backward_dirs = np.empty((n, 3))  # -lam / M * n
+        self.source: WorldFuncRep | None = None
+
+    def check(self, x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig | None = None) -> None:
+        """Refuse sets of other sizes and, if given, another metric."""
+        if (len(x), len(xp)) != (self.n, self.m) or \
+                (cfg is not None and cfg is not self.cfg and cfg != self.cfg):
+            raise ValidationError(f"DCD workspace for {self.n} x {self.m} rows under "
+                                  f"{self.cfg} used on {len(x)} x {len(xp)} under {cfg}")
+
+    def use_source(self, x: WorldFuncRep) -> None:
+        if self.source is x:
+            return
+        self.source = x
+        if self.tiles is not None:
+            for k, column in enumerate(np.concatenate([x.points, x.directions], axis=1).T):
+                np.copyto(self.tiles[k], column[:, None])
+        lam = self.cfg.lam
+        if lam != 0.0:
+            np.multiply(-lam / self.n, x.directions, out=self.weights[:, 3:])
+            np.multiply(-lam / self.m, x.directions, out=self.backward_dirs)
+
+    def cotangent(self, x: WorldFuncRep, xp: WorldFuncRep, fwd: np.ndarray, bwd: np.ndarray):
+        """(d_points, d_directions) of the DCD with respect to xp's rows, given
+        the matches of the source set in use; both are fresh arrays."""
+        n, m, width = self.n, self.m, self.width
+        lam, eps = self.cfg.lam, self.cfg.epsilon
+
+        # Both sums' smooth-norm gradients in one pass: rows are independent.
+        forward, backward = self.diffs[:n], self.diffs[n:]
+        np.take(xp.points, fwd, axis=0, out=forward)
+        forward -= x.points
+        np.take(x.points, bwd, axis=0, out=backward)
+        np.subtract(xp.points, backward, out=backward)
+        _smooth_norm_grad(self.diffs, eps, out=self.diffs)
+
+        # Forward sum: each i contributes to its matched j = fwd[i]. One bincount
+        # scatters every column at once: bin fwd[i] * width + k adds column k of
+        # row i, in ascending i from 0.0, as a per-column bincount would.
+        np.divide(forward, n, out=self.weights[:, :3])
+        bins = np.multiply(fwd[:, None], width, out=self.bins)
+        bins += self.lanes
+        sums = np.bincount(bins.reshape(-1), weights=self.weights.reshape(-1),
+                           minlength=m * width).reshape(m, width)
+        d_points = sums[:, :3]
+        d_dirs = sums[:, 3:] if lam != 0.0 else np.zeros((m, 3))
+
+        # Backward sum: each j contributes with its matched i = bwd[j].
+        backward /= m
+        d_points += backward
+        if lam != 0.0:
+            d_dirs += np.take(self.backward_dirs, bwd, axis=0, out=self.dir_terms)
+        return d_points, d_dirs
 
 
-def _matches(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig):
+def _block_rows(m: int) -> int:
+    """Rows per block of the cost matrix against a set of `m` rows."""
+    return max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // m))
+
+
+def _block_matches(points, dirs, xp: WorldFuncRep, cfg: MetricConfig, work: _DcdWorkspace,
+                   out):
+    """Argmins of one block of rows into `out` = (fwd, bwd, fwd_vals, bwd_vals)."""
+    fwd, bwd, fwd_vals, bwd_vals = out
+    k, m = len(points), len(xp)
+    cost = _pair_costs(points, dirs, xp.points, xp.directions, cfg, out=work.costs[:, :k],
+                       tiles=work.tiles)
+    np.argmin(cost, axis=1, out=fwd)  # first occurrence = lowest index on ties
+    np.argmin(cost, axis=0, out=bwd)
+    flat = cost.reshape(-1)
+    np.take(flat, np.add(work.row_starts[:k], fwd, out=work.flat[:k]), out=fwd_vals)
+    index = np.multiply(bwd, m, out=work.flat[:m])
+    index += work.columns
+    np.take(flat, index, out=bwd_vals)
+
+
+def _matches(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig,
+             work: _DcdWorkspace | None = None):
     """Row and column argmins of the cost matrix, one block of rows at a time.
 
     A column's running minimum moves only to a strictly lower value, or to
     the first NaN as np.argmin does, so ties keep the lowest row index and
-    the result equals the argmins of the full matrix bit for bit.
+    the result equals the argmins of the full matrix bit for bit. The results
+    are `work`'s buffers (fresh ones without it).
     """
-    n, m = len(x), len(xp)
-    if n == 0 or m == 0:
-        raise ValidationError("directional Chamfer distance needs non-empty sets")
-    rows = max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // m))
+    n = len(x)
+    work = _DcdWorkspace(n, len(xp), cfg) if work is None else work
+    work.use_source(x)
+    fwd, bwd, fwd_vals, bwd_vals = work.matches
+    rows = len(work.row_starts)
     if n <= rows:
-        return _block_matches(x.points, x.directions, xp, cfg)
-    fwd = np.empty(n, dtype=np.intp)
-    fwd_vals = np.empty(n)
+        _block_matches(x.points, x.directions, xp, cfg, work, work.matches)
+        return work.matches
+    b, b_vals = work.block_bwd
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        f, b, f_vals, b_vals = _block_matches(x.points[block], x.directions[block], xp, cfg)
-        fwd[block], fwd_vals[block] = f, f_vals
         if start == 0:
-            bwd, bwd_vals = b, b_vals
+            _block_matches(x.points[block], x.directions[block], xp, cfg, work,
+                           (fwd[block], bwd, fwd_vals[block], bwd_vals))
             continue
+        _block_matches(x.points[block], x.directions[block], xp, cfg, work,
+                       (fwd[block], b, fwd_vals[block], b_vals))
         lower = (b_vals < bwd_vals) | (np.isnan(b_vals) & ~np.isnan(bwd_vals))
         bwd[lower] = b[lower] + start
         bwd_vals[lower] = b_vals[lower]
-    return fwd, bwd, fwd_vals, bwd_vals
+    return work.matches
 
 
-def dcd(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig | None = None) -> float:
-    """Directional Chamfer distance between two world-frame sets."""
+def dcd(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig | None = None, *,
+        workspace: _DcdWorkspace | None = None) -> float:
+    """Directional Chamfer distance between two world-frame sets.
+
+    `workspace` may be one built for these set sizes under any metric; only
+    its match buffers are used.
+    """
     cfg = cfg or MetricConfig()
-    _, _, fwd_vals, bwd_vals = _matches(x, xp, cfg)
+    if workspace is not None:
+        workspace.check(x, xp)
+    _, _, fwd_vals, bwd_vals = _matches(x, xp, cfg, workspace)
     return float(fwd_vals.mean() + bwd_vals.mean())
 
 
 def functional_similarity(x: WorldFuncRep, xp: WorldFuncRep,
-                          cfg: MetricConfig | None = None) -> float:
+                          cfg: MetricConfig | None = None, *,
+                          workspace: _DcdWorkspace | None = None) -> float:
     """Negative directional Chamfer distance; larger is more similar."""
-    return -dcd(x, xp, cfg)
+    return -dcd(x, xp, cfg, workspace=workspace)
 
 
 def dcd_value_and_cotangent(x: WorldFuncRep, xp: WorldFuncRep,
-                            cfg: MetricConfig | None = None):
-    """One-pass (value, d_points, d_directions) for optimizer inner loops."""
+                            cfg: MetricConfig | None = None, *,
+                            workspace: _DcdWorkspace | None = None):
+    """One-pass (value, d_points, d_directions) for optimizer inner loops.
+
+    `workspace`, built for these set sizes and this metric, supplies every
+    buffer; the cotangents are fresh arrays either way.
+    """
     cfg = cfg or MetricConfig()
-    fwd, bwd, fwd_vals, bwd_vals = _matches(x, xp, cfg)
+    if workspace is None:
+        workspace = _DcdWorkspace(len(x), len(xp), cfg)
+    else:
+        workspace.check(x, xp, cfg)
+    fwd, bwd, fwd_vals, bwd_vals = _matches(x, xp, cfg, workspace)
     value = float(fwd_vals.mean() + bwd_vals.mean())
-    d_points, d_dirs = _cotangent_from_matches(x, xp, cfg, fwd, bwd)
+    d_points, d_dirs = workspace.cotangent(x, xp, fwd, bwd)
     return value, d_points, d_dirs
 
 
-def _cotangent_from_matches(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig,
-                            fwd: np.ndarray, bwd: np.ndarray):
-    n, m = len(x), len(xp)
+def _smooth_norm_grad(diff: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise gradient of smooth(|d|) w.r.t. d; zero at d = 0 (subgradient).
 
-    # Forward sum: each i contributes to its matched j = fwd[i]. One bincount
-    # scatters every column at once: bin fwd[i] * width + k adds column k of
-    # row i, in ascending i from 0.0, as a per-column bincount would.
-    width = 6 if cfg.lam != 0.0 else 3
-    weights = np.empty((n, width))  # [d smooth(|p' - p|) / N | -lam / N * n]
-    diff = xp.points[fwd] - x.points  # (N, 3)
-    np.divide(_smooth_norm_grad(diff, cfg.epsilon), n, out=weights[:, :3])
-    if cfg.lam != 0.0:
-        np.multiply(-cfg.lam / n, x.directions, out=weights[:, 3:])
-    bins = (fwd[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, weights=weights.ravel(), minlength=m * width).reshape(m, width)
-    d_points = sums[:, :3]
-    d_dirs = sums[:, 3:] if cfg.lam != 0.0 else np.zeros((m, 3))
-
-    # Backward sum: each j contributes with its matched i = bwd[j].
-    diff = xp.points - x.points[bwd]  # (M, 3)
-    d_points += _smooth_norm_grad(diff, cfg.epsilon) / m
-    if cfg.lam != 0.0:
-        d_dirs += -cfg.lam / m * x.directions[bwd]
-    return d_points, d_dirs
-
-
-def _smooth_norm_grad(diff: np.ndarray, eps: float) -> np.ndarray:
-    """Row-wise gradient of smooth(|d|) w.r.t. d; zero at d = 0 (subgradient)."""
-    sq = np.einsum("nk,nk->n", diff, diff)
-    denom = np.sqrt(sq + eps * eps)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(denom > 0.0, 1.0 / denom, 0.0)
-    return diff * scale[:, None]
+    Written into `out` (which may be `diff`) if given.
+    """
+    denom = np.einsum("nk,nk->n", diff, diff)
+    denom += eps * eps
+    np.sqrt(denom, out=denom)
+    scale = np.zeros_like(denom)
+    np.divide(1.0, denom, out=scale, where=denom > 0.0)
+    return np.multiply(diff, scale[:, None], out=out)

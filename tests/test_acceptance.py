@@ -208,7 +208,7 @@ def test_c06_stopping_discipline():
     def frozen(q):
         return 1.0, np.zeros_like(q)
 
-    _, trace, steps, early = minimize_with_patience(frozen, np.zeros(4), cfg)
+    _, _, trace, steps, early = minimize_with_patience(frozen, np.zeros(4), cfg)
     assert early and steps == 1 + 10 and len(trace) == steps
 
     # A loss flat after step k halts at exactly k + patience.
@@ -220,7 +220,7 @@ def test_c06_stopping_discipline():
         value = max(0.0, float(k - counter["n"]))
         return value, np.zeros_like(q)
 
-    _, _, steps, early = minimize_with_patience(flat_after_k, np.zeros(2), cfg)
+    _, _, _, steps, early = minimize_with_patience(flat_after_k, np.zeros(2), cfg)
     assert early and steps == k + 10
 
     counter["n"] = 0
@@ -229,7 +229,7 @@ def test_c06_stopping_discipline():
         counter["n"] += 1
         return -float(counter["n"]), np.zeros_like(q)
 
-    _, _, steps, early = minimize_with_patience(strictly_descending, np.zeros(2), cfg)
+    _, _, _, steps, early = minimize_with_patience(strictly_descending, np.zeros(2), cfg)
     assert not early and steps == 300
 
     # On real frames: the step cap holds and the flag matches the halting mode.

@@ -1,5 +1,7 @@
 import dataclasses
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from xembody import (AlignmentConfig, AlignmentError, MetricConfig, ValidationEr
                      align_frame, align_trajectory, build_template, dcd, eis_initialize,
                      eval_template, functional_similarity, joint_limit_penalty,
                      template_trajectory)
+from xembody import chamfer
 from xembody.align import _dcd_lower_bounds, minimize_with_patience
+from xembody.chamfer import _pair_costs
 from xembody.funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep
-from xembody.kinematics import _fk_frames, evaluate_world_set
+from xembody.kinematics import _chain, _fk_frames, _resolve_link_indices, evaluate_world_set
 from xembody.robot import EmbodimentManifest, JointSpec, LinkSpec, build_embodiment
 from xembody.transforms import rotation_about_axis
 
@@ -52,7 +56,7 @@ def test_frozen_loss_halts_after_patience():
         calls.append(1)
         return 1.0, np.zeros_like(q)
 
-    _, trace, steps, early = minimize_with_patience(frozen, np.zeros(3), cfg)
+    _, _, trace, steps, early = minimize_with_patience(frozen, np.zeros(3), cfg)
     # First evaluation improves from +inf; the next `patience` do not.
     assert steps == 1 + cfg.patience
     assert early
@@ -66,7 +70,7 @@ def test_step_cap_without_early_stop():
         # Strictly improving loss: patience never triggers.
         return float(q[0]), np.ones_like(q)
 
-    _, trace, steps, early = minimize_with_patience(descending, np.zeros(1), cfg)
+    _, _, trace, steps, early = minimize_with_patience(descending, np.zeros(1), cfg)
     assert steps == 25 and not early
 
 
@@ -375,7 +379,276 @@ def test_eis_scores_few_candidates_exactly(gripper1, hand6, monkeypatch):
     scored = []
     exact = align.functional_similarity
     monkeypatch.setattr(align, "functional_similarity",
-                        lambda *args: scored.append(1) or exact(*args))
+                        lambda *args, **kwargs: scored.append(1) or exact(*args, **kwargs))
     q = eis_initialize(hand6, target, x_0, samples=1000, seed=4)
     assert len(scored) < 250
     assert np.array_equal(q, _eis_reference(hand6, target, x_0, samples=1000, seed=4))
+
+
+def _pullback_reference(e, q, link_indices, world_points, world_dirs, d_points, d_normals):
+    """The pullback before the alignment workspace: a boolean-mask gather and
+    Python-scalar sums per link, links ascending, dofs root to link."""
+    table = _chain(e)
+    _, _, axis_world, pivot_world = _fk_frames(e, q)
+    grad = np.zeros(e.dof)
+    for link in np.unique(link_indices):
+        dofs = table.ancestor_dofs[link]
+        if not dofs:
+            continue
+        rows = link_indices == link
+        dp = d_points[rows]
+        fx, fy, fz = dp.sum(axis=0)
+        torque = np.cross(world_points[rows], dp).sum(axis=0)
+        spin = np.cross(world_dirs[rows], d_normals[rows]).sum(axis=0)
+        moment = torque + spin
+        for d in dofs:
+            a = axis_world[d]
+            if table.dof_kinds[d] == "revolute":
+                ox, oy, oz = pivot_world[d]
+                grad[d] += (a[0] * (moment[0] - (oy * fz - oz * fy))
+                            + a[1] * (moment[1] - (oz * fx - ox * fz))
+                            + a[2] * (moment[2] - (ox * fy - oy * fx)))
+            else:
+                grad[d] += a[0] * fx + a[1] * fy + a[2] * fz
+    return grad
+
+
+def _cotangent_reference(x, points, fwd, bwd, metric):
+    """d DCD / d (points, directions) before the workspace: per-column bincounts."""
+    n, m = len(x), len(points)
+
+    def smooth_grad(diff):
+        denom = np.sqrt(np.einsum("nk,nk->n", diff, diff) + metric.epsilon * metric.epsilon)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return diff * np.where(denom > 0.0, 1.0 / denom, 0.0)[:, None]
+
+    forward = smooth_grad(points[fwd] - x.points) / n
+    d_points = np.stack([np.bincount(fwd, forward[:, k], minlength=m) for k in range(3)], 1)
+    d_dirs = np.zeros((m, 3))
+    if metric.lam != 0.0:
+        scaled = -metric.lam / n * x.directions
+        d_dirs = np.stack([np.bincount(fwd, scaled[:, k], minlength=m) for k in range(3)], 1)
+    d_points += smooth_grad(points - x.points[bwd]) / m
+    if metric.lam != 0.0:
+        d_dirs += -metric.lam / m * x.directions[bwd]
+    return d_points, d_dirs
+
+
+def _value_and_grad_reference(target, template, x_t, cfg):
+    """The per-step objective before the alignment workspace, with everything
+    built per call: link indices, the gathered world set, the full cost
+    matrix's argmins, the cotangent, the limit penalty and the pullback."""
+    link_indices = _resolve_link_indices(target, template.link_names)
+    metric = cfg.metric
+
+    def value_and_grad(q):
+        rot, trans, _, _ = _fk_frames(target, q)
+        r = rot[link_indices]
+        points = np.einsum("...nij,nj->...ni", r, template.points) + trans[link_indices]
+        dirs = np.einsum("...nij,nj->...ni", r, template.normals)
+        cost = _pair_costs(x_t.points, x_t.directions, points, dirs, metric)
+        fwd, bwd = np.argmin(cost, axis=1), np.argmin(cost, axis=0)
+        n, m = cost.shape
+        value = float(cost[np.arange(n), fwd].mean() + cost[bwd, np.arange(m)].mean())
+        d_pts, d_dirs = _cotangent_reference(x_t, points, fwd, bwd, metric)
+        over = np.maximum(0.0, q - target.upper_limits)
+        under = np.maximum(0.0, target.lower_limits - q)
+        penalty = float(np.sum(over * over) + np.sum(under * under))
+        grad = _pullback_reference(target, q, link_indices, points, dirs,
+                                   cfg.w1 * d_pts, cfg.w1 * d_dirs)
+        grad += cfg.w2 * (2.0 * (over - under))
+        return cfg.w1 * value + cfg.w2 * penalty, grad
+
+    return value_and_grad
+
+
+def _minimize_reference(value_and_grad, q0, cfg):
+    """Adam with fresh arrays per update, as before the in-place update."""
+    q, best_q, best, bad, trace, early = np.array(q0, dtype=float), None, np.inf, 0, [], False
+    m, v = np.zeros_like(q), np.zeros_like(q)
+    for step in range(1, cfg.max_steps + 1):
+        loss, grad = value_and_grad(q)
+        trace.append(float(loss))
+        if loss < best - align.IMPROVEMENT_TOL:
+            best, best_q, bad = float(loss), q.copy(), 0
+        else:
+            bad += 1
+            if bad >= cfg.patience:
+                early = True
+                break
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        m_hat = m / (1.0 - 0.9**step)
+        v_hat = v / (1.0 - 0.999**step)
+        q = q - cfg.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return best_q, trace, len(trace), early
+
+
+def _align_trajectory_reference(rep, target, template, q, cfg):
+    """Frame by frame with the reference objective and the old epilogue: FK,
+    DCD and penalty recomputed at every returned configuration."""
+    configs, diags = [], []
+    for x_t in rep.frames:
+        best_q, trace, steps, early = _minimize_reference(
+            _value_and_grad_reference(target, template, x_t, cfg), q, cfg)
+        q = np.clip(best_q, target.lower_limits, target.upper_limits)
+        x_hat = eval_template(target, template, q)
+        final_dcd = dcd(x_t, x_hat, MetricConfig(lam=cfg.metric.lam, epsilon=0.0))
+        final_loss = cfg.w1 * dcd(x_t, x_hat, cfg.metric) \
+            + cfg.w2 * joint_limit_penalty(q, target)[0]
+        configs.append(q)
+        diags.append((float(final_loss), float(final_dcd), steps, early, tuple(trace)))
+    return np.array(configs), diags
+
+
+def _diagnostic_tuples(aligned):
+    return [(d.final_loss, d.final_dcd, d.steps_used, d.early_stopped, d.loss_trace)
+            for d in aligned.diagnostics]
+
+
+@st.composite
+def step_cases(draw):
+    """A random chain with revolute, prismatic and fixed joints (optionally a
+    fixed-joint prefix), pads in any order (possibly one with no actuated
+    ancestor), a source set, a metric with lam and epsilon possibly 0, and
+    possibly cost blocks of fewer rows than the source set or coordinate
+    tiles at any size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_joints = draw(st.integers(1, 5))
+    prefix = draw(st.integers(0, 2))
+    links = [LinkSpec("link0", helpers.box_mesh(rng.uniform(0.01, 0.04, size=3)))]
+    joints = []
+    for k in range(prefix + n_joints):
+        kind = "fixed" if k < prefix else str(rng.choice(["revolute", "prismatic", "fixed"]))
+        axis, turn = rng.normal(size=3), rng.normal(size=3)
+        links.append(LinkSpec(f"link{k + 1}", helpers.box_mesh(rng.uniform(0.01, 0.04, size=3))))
+        joints.append(JointSpec(f"q{k}", kind, f"link{k}", f"link{k + 1}",
+                                axis=axis / np.linalg.norm(axis),
+                                origin_rotation=rotation_about_axis(
+                                    turn / np.linalg.norm(turn), rng.uniform(-np.pi, np.pi)),
+                                origin_translation=rng.uniform(-0.1, 0.1, size=3),
+                                lower=rng.uniform(-1.5, -0.05), upper=rng.uniform(0.05, 1.5)))
+    if all(j.kind == "fixed" for j in joints):
+        joints[-1] = dataclasses.replace(joints[-1], kind="revolute")
+    e = build_embodiment("chain", links, joints)
+    names = [link.name for link in links]
+    pads = [str(p) for p in rng.choice(names, size=draw(st.integers(1, min(4, len(names)))),
+                                       replace=False)]
+    if draw(st.booleans()):
+        pads.insert(int(rng.integers(0, len(pads) + 1)), "link0")  # no actuated ancestor
+    pads = list(dict.fromkeys(pads))
+    template = build_template(e, pads, draw(st.integers(1, 12)), seed=int(rng.integers(1 << 30)))
+    source = eval_template(e, template, rng.uniform(e.lower_limits, e.upper_limits))
+    rows = draw(st.integers(1, 40))
+    pick = rng.integers(0, len(source), rows)
+    x_t = WorldFuncRep(source.points[pick] + rng.normal(scale=0.01, size=(rows, 3)),
+                       source.directions[pick])
+    metric = MetricConfig(draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([0.0, 1e-9])))
+    cfg = AlignmentConfig(metric=metric, w1=draw(st.sampled_from([1.0, 0.7])),
+                          w2=draw(st.sampled_from([1.0, 3.0])))
+    block_rows = draw(st.sampled_from([chamfer.BLOCK_ROWS, 3]))
+    tile_entries = draw(st.sampled_from([chamfer._TILE_ENTRIES, 1]))
+    qs = rng.uniform(e.lower_limits - 0.2, e.upper_limits + 0.2, size=(4, e.dof))
+    return e, template, x_t, cfg, (block_rows, tile_entries), qs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=step_cases())
+def test_workspace_step_equals_reference(case):
+    e, template, x_t, cfg, (block_rows, tile_entries), qs = case
+    with mock.patch.object(chamfer, "BLOCK_ROWS", block_rows), \
+            mock.patch.object(chamfer, "_TILE_ENTRIES", tile_entries):
+        workspace = align._AlignmentWorkspace(e, template, len(x_t), cfg)
+    reference = _value_and_grad_reference(e, template, x_t, cfg)
+    # Two source sets in turn: the per-source constants must follow the frame.
+    other = WorldFuncRep(x_t.points[::-1] + 0.01, x_t.directions[::-1])
+    for frame, q in zip((x_t, other, other, x_t), qs):
+        workspace.frame = frame
+        loss, grad = workspace.value_and_grad(q)
+        want_loss, want_grad = (reference if frame is x_t else
+                                _value_and_grad_reference(e, template, frame, cfg))(q)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
+
+
+def test_align_trajectory_equals_reference_loop(gripper1, hand6):
+    source = build_template(gripper1, gripper1.pad_links, 16, seed=1)
+    target = build_template(hand6, hand6.pad_links, 16, seed=2)
+    rep = template_trajectory(gripper1, source, helpers.pinch_trajectory(12))
+    cfg = AlignmentConfig()
+    aligned = align_trajectory(rep, hand6, target, None, cfg)
+    configs, diags = _align_trajectory_reference(rep, hand6, target,
+                                                 hand6.mid_range_configuration(), cfg)
+    assert np.array_equal(aligned.configs, configs)
+    assert _diagnostic_tuples(aligned) == diags
+
+
+def test_final_loss_reuses_only_unclamped_frames(gripper1, monkeypatch):
+    # A slide asked to go past its lower limit: some frames clamp, others do not.
+    template = build_template(gripper1, gripper1.pad_links, 8, seed=3)
+    frames = []
+    for q, shift in ((-0.02, 0.0), (-0.056, -0.05), (-0.03, 0.0), (-0.056, -0.04)):
+        x = eval_template(gripper1, template, np.array([q]))
+        frames.append(WorldFuncRep(x.points + np.array([0.0, shift, 0.0]), x.directions))
+    rep = FuncRepTrajectory(tuple(frames))
+    cfg = AlignmentConfig(w2=0.5)
+    evaluations = []
+    exact = align.dcd
+    monkeypatch.setattr(align, "dcd", lambda *a, **k: evaluations.append(1) or exact(*a, **k))
+    aligned = align_trajectory(rep, gripper1, template, np.array([-0.01]), cfg)
+    configs, diags = _align_trajectory_reference(rep, gripper1, template, np.array([-0.01]), cfg)
+    assert np.array_equal(aligned.configs, configs)
+    assert _diagnostic_tuples(aligned) == diags
+    clamped = np.sum(aligned.configs[:, 0] == gripper1.lower_limits[0])
+    assert 0 < clamped < len(rep)
+    assert len(evaluations) == len(rep) + clamped  # the reported DCD, plus a loss if clamped
+
+
+def test_step_calls_each_traced_layer_once(gripper1, hand6, monkeypatch):
+    source = build_template(gripper1, gripper1.pad_links, 8, seed=4)
+    target = build_template(hand6, hand6.pad_links, 8, seed=5)
+    rep = template_trajectory(gripper1, source, helpers.pinch_trajectory(6))
+    calls = {}
+    for name in ("dcd_value_and_cotangent", "evaluate_with_pullback", "joint_limit_penalty"):
+        original = getattr(align, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(align, name, counted)
+    aligned = align_trajectory(rep, hand6, target, None, AlignmentConfig())
+    assert np.all((aligned.configs > hand6.lower_limits) & (aligned.configs < hand6.upper_limits))
+    steps = sum(d.steps_used for d in aligned.diagnostics)
+    assert calls == {"dcd_value_and_cotangent": steps, "evaluate_with_pullback": steps,
+                     "joint_limit_penalty": steps}
+
+
+@pytest.mark.parametrize("settings_", [
+    {"step_size": np.nan}, {"step_size": np.inf}, {"w1": np.nan}, {"w2": np.inf},
+    {"metric": "lam=nan"}, {"metric": "lam=inf"}, {"metric": "epsilon=inf"},
+])
+def test_nonfinite_alignment_settings_are_refused(settings_):
+    with pytest.raises(ValidationError, match="finite"):
+        if "metric" in settings_:
+            name, value = settings_["metric"].split("=")
+            MetricConfig(**{name: float(value)})
+        else:
+            AlignmentConfig(**settings_)
+
+
+def test_eis_world_set_memory_stays_blocked(gripper1, hand6):
+    # The bench's augment shape. The two (1000, 192, 3) world sets are 8.8 MiB
+    # and the bound pass adds about 3.2 MiB; a gathered rotation per candidate
+    # row would add 13 MiB more.
+    source = build_template(gripper1, gripper1.pad_links, 64, seed=1)
+    target = build_template(hand6, hand6.pad_links, 64, seed=2)
+    x_0 = eval_template(gripper1, source, np.array([-0.03]))
+    tracemalloc.start()
+    try:
+        eis_initialize(hand6, target, x_0, samples=1000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * 2**20

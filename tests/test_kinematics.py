@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from xembody import (FunctionalTemplate, ValidationError, eval_template, evaluate_world_set,
                      forward_kinematics, template_trajectory)
+from xembody import kinematics
 from xembody.kinematics import _fk_frames, _resolve_link_indices, evaluate_with_pullback
 from xembody.robot import EmbodimentManifest, JointSpec, LinkSpec, build_embodiment
 from xembody.transforms import homogeneous, rotation_about_axis
@@ -182,6 +185,11 @@ def test_fk_walk_is_batch_independent(seed, n_joints, batch):
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     world_points, world_dirs = evaluate_world_set(e, qs, ids, points, normals)
+    for rows in (n, 2 * n + 1):  # blocks of one configuration, and of two plus a remainder
+        with mock.patch.object(kinematics, "_WORLD_SET_ROWS", rows):
+            blocked = evaluate_world_set(e, qs, ids, points, normals)
+        assert np.array_equal(blocked[0], world_points)
+        assert np.array_equal(blocked[1], world_dirs)
     template = FunctionalTemplate(tuple(e.links[i].name for i in ids), points, normals)
     trajectory = template_trajectory(e, template, qs)
     for b in range(batch):
