@@ -172,7 +172,7 @@ class _AlignmentWorkspace:
         self.link_indices = _resolve_link_indices(target, template.link_names)
         self.kinematics = _PullbackWorkspace(target, self.link_indices, template.points,
                                              template.normals)
-        self.matching = _DcdWorkspace(source_rows, len(template), cfg.metric)
+        self.matching = _DcdWorkspace(source_rows, len(template), cfg.metric, tiles=True)
         self.world = WorldFuncRep(*self.kinematics.world)  # views of the world buffers
         self.report_metric = MetricConfig(lam=cfg.metric.lam, epsilon=0.0)
         self.frame: WorldFuncRep | None = None  # the source set being aligned
@@ -182,10 +182,8 @@ class _AlignmentWorkspace:
         pts, dirs, pullback = evaluate_with_pullback(
             target, q, self.link_indices, template.points, template.normals,
             workspace=self.kinematics)
-        world = self.world if pts is self.world.points and dirs is self.world.directions \
-            else WorldFuncRep(pts, dirs)
-        value, d_pts, d_dirs = dcd_value_and_cotangent(self.frame, world, cfg.metric,
-                                                        workspace=self.matching)
+        value, d_pts, d_dirs = dcd_value_and_cotangent(self.frame, WorldFuncRep(pts, dirs),
+                                                        cfg.metric, workspace=self.matching)
         penalty, penalty_grad = joint_limit_penalty(q, target)
         d_pts *= cfg.w1
         d_dirs *= cfg.w1
@@ -296,12 +294,10 @@ def eis_initialize(target: Embodiment, template: FunctionalTemplate, x_0: WorldF
     elite_count = int(np.ceil(samples * elite_fraction))
     scores = np.full(samples, -np.inf)
     kept: list[float] = []  # max-heap (negated) of the elite_count lowest exact DCDs
-    workspace = _DcdWorkspace(len(x_0), len(template), metric)
     for b in np.argsort(bounds, kind="stable"):
         if len(kept) == elite_count and bounds[b] > -kept[0]:
             break
-        scores[b] = functional_similarity(x_0, WorldFuncRep(points[b], dirs[b]), metric,
-                                          workspace=workspace)
+        scores[b] = functional_similarity(x_0, WorldFuncRep(points[b], dirs[b]), metric)
         # argsort ranks NaN last, so a NaN DCD counts as the worst value.
         value = np.inf if np.isnan(scores[b]) else -scores[b]
         if len(kept) < elite_count:

@@ -27,8 +27,6 @@ from .funcrep import WorldFuncRep
 # is long, so that one block stays near BLOCK_ENTRIES entries.
 BLOCK_ROWS = 256
 BLOCK_ENTRIES = 1 << 18
-# Below this many cost entries, broadcasting from a column beats copying into tiles.
-_TILE_ENTRIES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -117,19 +115,21 @@ class _DcdWorkspace:
     nothing of the cost matrix's size.
 
     Per source set it keeps the cotangent's direction terms (-lam/N * n and
-    -lam/M * n) and, when the cost matrix is one block of at least
-    `_TILE_ENTRIES` entries, the source coordinate tiles of `_pair_costs`. A
-    call on another source set than the previous one recomputes them, so a
-    source set must not change in place while a workspace uses it.
+    -lam/M * n) and, with `tiles` and a cost matrix of one block, the source
+    coordinate tiles of `_pair_costs`. A call on another source set than the
+    previous one recomputes them, so a source set must not change in place
+    while a workspace uses it. Filling the tiles costs more than they save in
+    one call, so only a workspace that sees each source set over several
+    calls (an optimizer's steps) should ask for them.
     """
 
-    def __init__(self, n: int, m: int, cfg: MetricConfig):
+    def __init__(self, n: int, m: int, cfg: MetricConfig, tiles: bool = False):
         if n == 0 or m == 0:
             raise ValidationError("directional Chamfer distance needs non-empty sets")
         self.n, self.m, self.cfg = n, m, cfg
         rows = min(n, _block_rows(m))
         self.costs = np.empty((3, rows, m))
-        self.tiles = np.empty((6, n, m)) if n == rows and n * m >= _TILE_ENTRIES else None
+        self.tiles = np.empty((6, n, m)) if tiles and n == rows else None
         self.matches = (np.empty(n, dtype=np.intp), np.empty(m, dtype=np.intp),
                         np.empty(n), np.empty(m))
         self.block_bwd = (np.empty(m, dtype=np.intp), np.empty(m))
@@ -265,10 +265,9 @@ def dcd(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig | None = None, *,
 
 
 def functional_similarity(x: WorldFuncRep, xp: WorldFuncRep,
-                          cfg: MetricConfig | None = None, *,
-                          workspace: _DcdWorkspace | None = None) -> float:
+                          cfg: MetricConfig | None = None) -> float:
     """Negative directional Chamfer distance; larger is more similar."""
-    return -dcd(x, xp, cfg, workspace=workspace)
+    return -dcd(x, xp, cfg)
 
 
 def dcd_value_and_cotangent(x: WorldFuncRep, xp: WorldFuncRep,

@@ -511,8 +511,8 @@ def step_cases(draw):
     """A random chain with revolute, prismatic and fixed joints (optionally a
     fixed-joint prefix), pads in any order (possibly one with no actuated
     ancestor), a source set, a metric with lam and epsilon possibly 0, and
-    possibly cost blocks of fewer rows than the source set or coordinate
-    tiles at any size."""
+    possibly cost blocks of fewer rows than the source set (which take no
+    coordinate tiles)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_joints = draw(st.integers(1, 5))
     prefix = draw(st.integers(0, 2))
@@ -547,17 +547,15 @@ def step_cases(draw):
     cfg = AlignmentConfig(metric=metric, w1=draw(st.sampled_from([1.0, 0.7])),
                           w2=draw(st.sampled_from([1.0, 3.0])))
     block_rows = draw(st.sampled_from([chamfer.BLOCK_ROWS, 3]))
-    tile_entries = draw(st.sampled_from([chamfer._TILE_ENTRIES, 1]))
     qs = rng.uniform(e.lower_limits - 0.2, e.upper_limits + 0.2, size=(4, e.dof))
-    return e, template, x_t, cfg, (block_rows, tile_entries), qs
+    return e, template, x_t, cfg, block_rows, qs
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=step_cases())
 def test_workspace_step_equals_reference(case):
-    e, template, x_t, cfg, (block_rows, tile_entries), qs = case
-    with mock.patch.object(chamfer, "BLOCK_ROWS", block_rows), \
-            mock.patch.object(chamfer, "_TILE_ENTRIES", tile_entries):
+    e, template, x_t, cfg, block_rows, qs = case
+    with mock.patch.object(chamfer, "BLOCK_ROWS", block_rows):
         workspace = align._AlignmentWorkspace(e, template, len(x_t), cfg)
     reference = _value_and_grad_reference(e, template, x_t, cfg)
     # Two source sets in turn: the per-source constants must follow the frame.

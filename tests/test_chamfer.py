@@ -231,6 +231,10 @@ def test_pair_costs_match_einsum_reference(case):
     cost = _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg)
     assert np.array_equal(cost, _pair_costs_reference(points_a, dirs_a, points_b, dirs_b, cfg))
     assert np.array_equal(_pair_costs(points_b, dirs_b, points_a, dirs_a, cfg), cost.T)
+    # A's coordinates repeated along each row, as a workspace keeps them.
+    tiles = np.repeat(np.concatenate([points_a, dirs_a], axis=1).T[:, :, None], len(points_b),
+                      axis=2)
+    assert np.array_equal(_pair_costs(points_a, dirs_a, points_b, dirs_b, cfg, tiles=tiles), cost)
 
 
 def test_cotangent_identical_sets_smoothed(rng):
