@@ -23,8 +23,7 @@ from .chamfer import (MetricConfig, _DcdWorkspace, _smooth_norm, dcd, dcd_value_
                       functional_similarity)
 from .errors import AlignmentError, ValidationError
 from .funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep
-from .kinematics import (_PullbackWorkspace, _resolve_link_indices, evaluate_with_pullback,
-                         evaluate_world_set)
+from .kinematics import _PullbackWorkspace, evaluate_with_pullback, evaluate_world_set
 from .robot import Embodiment
 
 IMPROVEMENT_TOL = 1e-8  # minimum decrease of the best loss that counts as progress
@@ -156,21 +155,20 @@ def minimize_with_patience(value_and_grad, q0: np.ndarray, cfg: AlignmentConfig,
 
 
 class _AlignmentWorkspace:
-    """What alignment of one trajectory computes once: the template's link
-    indices, the kinematic and DCD buffers, and per frame the source set.
+    """What alignment of one trajectory computes once: the kinematic and DCD
+    buffers, and per frame the source set.
 
     `value_and_grad` is the per-step objective. It calls
     `evaluate_with_pullback`, `dcd_value_and_cotangent` and
-    `joint_limit_penalty` once each through this module, with the arguments of
-    a call without buffers and the buffers by keyword, so a wrapper around any
-    of them still sees every step.
+    `joint_limit_penalty` once each through this module, each kernel with the
+    workspace that owns its inputs, so a wrapper around any of them still sees
+    every step.
     """
 
     def __init__(self, target: Embodiment, template: FunctionalTemplate, source_rows: int,
                  cfg: AlignmentConfig):
-        self.target, self.template, self.cfg = target, template, cfg
-        self.link_indices = _resolve_link_indices(target, template.link_names)
-        self.kinematics = _PullbackWorkspace(target, self.link_indices, template.points,
+        self.target, self.cfg = target, cfg
+        self.kinematics = _PullbackWorkspace(target, template.link_names, template.points,
                                              template.normals)
         self.matching = _DcdWorkspace(source_rows, len(template), cfg.metric, tiles=True)
         self.world = WorldFuncRep(*self.kinematics.world)  # views of the world buffers
@@ -178,13 +176,11 @@ class _AlignmentWorkspace:
         self.frame: WorldFuncRep | None = None  # the source set being aligned
 
     def value_and_grad(self, q: np.ndarray):
-        cfg, target, template = self.cfg, self.target, self.template
-        pts, dirs, pullback = evaluate_with_pullback(
-            target, q, self.link_indices, template.points, template.normals,
-            workspace=self.kinematics)
-        value, d_pts, d_dirs = dcd_value_and_cotangent(self.frame, WorldFuncRep(pts, dirs),
-                                                        cfg.metric, workspace=self.matching)
-        penalty, penalty_grad = joint_limit_penalty(q, target)
+        cfg = self.cfg
+        # The world set lands in the buffers that self.world views.
+        _, _, pullback = evaluate_with_pullback(self.kinematics, q)
+        value, d_pts, d_dirs = dcd_value_and_cotangent(self.frame, self.world, self.matching)
+        penalty, penalty_grad = joint_limit_penalty(q, self.target)
         d_pts *= cfg.w1
         d_dirs *= cfg.w1
         grad = pullback(d_pts, d_dirs)

@@ -57,8 +57,8 @@ def _smooth_norm(d: np.ndarray, eps: float, out: np.ndarray | None = None) -> np
     return out
 
 
-def _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg: MetricConfig,
-                out: np.ndarray | None = None, tiles: np.ndarray | None = None) -> np.ndarray:
+def _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg: MetricConfig, out: np.ndarray,
+                tiles: np.ndarray | None = None) -> np.ndarray:
     """(N, M) combined-term matrix: smooth(|p_a - p_b|) - lam * <n_a, n_b>.
 
     Each sum over the three axes runs as (x + z) + y, one (N, M) ufunc pass
@@ -69,15 +69,15 @@ def _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg: MetricConfig,
     the matrix for (b, a) is exactly the transpose of the one for (a, b),
     which makes dcd(X, X') == dcd(X', X) exact. BLAS matmul would not be.
 
-    `out`, of shape (3, N, M), holds the work; the result is one of its
-    planes. Without it, fresh arrays are used. `tiles`, of shape (6, N, M),
+    `out`, of shape (3, N, M), holds the work; the result is plane 0 or 2 of
+    it, and plane 1 is left as scratch. `tiles`, of shape (6, N, M),
     holds a's point and direction coordinates (x, y, z each) repeated along
     each row: an outer difference or product then runs as a copy of b's
     coordinate (from a contiguous row) into every row and one pass over whole
     arrays, which numpy runs faster than the broadcast from a column. Each
     entry is the same operation on the same two numbers either way.
     """
-    sq, tmp, dot = np.empty((3, len(points_a), len(points_b))) if out is None else out
+    sq, tmp, dot = out
     if tiles is not None:
         rows_b = np.empty((6, len(points_b)))
         rows_b[:3] = points_b.T
@@ -145,13 +145,6 @@ class _DcdWorkspace:
         self.backward_dirs = np.empty((n, 3))  # -lam / M * n
         self.source: WorldFuncRep | None = None
 
-    def check(self, x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig | None = None) -> None:
-        """Refuse sets of other sizes and, if given, another metric."""
-        if (len(x), len(xp)) != (self.n, self.m) or \
-                (cfg is not None and cfg is not self.cfg and cfg != self.cfg):
-            raise ValidationError(f"DCD workspace for {self.n} x {self.m} rows under "
-                                  f"{self.cfg} used on {len(x)} x {len(xp)} under {cfg}")
-
     def use_source(self, x: WorldFuncRep) -> None:
         if self.source is x:
             return
@@ -204,13 +197,20 @@ def _block_rows(m: int) -> int:
 
 def _block_matches(points, dirs, xp: WorldFuncRep, cfg: MetricConfig, work: _DcdWorkspace,
                    out):
-    """Argmins of one block of rows into `out` = (fwd, bwd, fwd_vals, bwd_vals)."""
+    """Argmins of one block of rows into `out` = (fwd, bwd, fwd_vals, bwd_vals).
+
+    The column argmins run along the rows of a transposed copy in the cost
+    planes' scratch plane, so no call allocates one.
+    """
     fwd, bwd, fwd_vals, bwd_vals = out
     k, m = len(points), len(xp)
-    cost = _pair_costs(points, dirs, xp.points, xp.directions, cfg, out=work.costs[:, :k],
+    planes = work.costs[:, :k]
+    cost = _pair_costs(points, dirs, xp.points, xp.directions, cfg, out=planes,
                        tiles=work.tiles)
     np.argmin(cost, axis=1, out=fwd)  # first occurrence = lowest index on ties
-    np.argmin(cost, axis=0, out=bwd)
+    transposed = planes[1].reshape(m, k)
+    np.copyto(transposed, cost.T)
+    np.argmin(transposed, axis=1, out=bwd)
     flat = cost.reshape(-1)
     np.take(flat, np.add(work.row_starts[:k], fwd, out=work.flat[:k]), out=fwd_vals)
     index = np.multiply(bwd, m, out=work.flat[:m])
@@ -227,26 +227,19 @@ def _matches(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig,
     the result equals the argmins of the full matrix bit for bit. The results
     are `work`'s buffers (fresh ones without it).
     """
-    n = len(x)
-    work = _DcdWorkspace(n, len(xp), cfg) if work is None else work
+    work = _DcdWorkspace(len(x), len(xp), cfg) if work is None else work
     work.use_source(x)
     fwd, bwd, fwd_vals, bwd_vals = work.matches
     rows = len(work.row_starts)
-    if n <= rows:
-        _block_matches(x.points, x.directions, xp, cfg, work, work.matches)
-        return work.matches
-    b, b_vals = work.block_bwd
-    for start in range(0, n, rows):
+    for start in range(0, len(x), rows):
         block = slice(start, start + rows)
-        if start == 0:
-            _block_matches(x.points[block], x.directions[block], xp, cfg, work,
-                           (fwd[block], bwd, fwd_vals[block], bwd_vals))
-            continue
+        col, col_vals = (bwd, bwd_vals) if start == 0 else work.block_bwd
         _block_matches(x.points[block], x.directions[block], xp, cfg, work,
-                       (fwd[block], b, fwd_vals[block], b_vals))
-        lower = (b_vals < bwd_vals) | (np.isnan(b_vals) & ~np.isnan(bwd_vals))
-        bwd[lower] = b[lower] + start
-        bwd_vals[lower] = b_vals[lower]
+                       (fwd[block], col, fwd_vals[block], col_vals))
+        if start:
+            lower = (col_vals < bwd_vals) | (np.isnan(col_vals) & ~np.isnan(bwd_vals))
+            bwd[lower] = col[lower] + start
+            bwd_vals[lower] = col_vals[lower]
     return work.matches
 
 
@@ -257,10 +250,7 @@ def dcd(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig | None = None, *,
     `workspace` may be one built for these set sizes under any metric; only
     its match buffers are used.
     """
-    cfg = cfg or MetricConfig()
-    if workspace is not None:
-        workspace.check(x, xp)
-    _, _, fwd_vals, bwd_vals = _matches(x, xp, cfg, workspace)
+    _, _, fwd_vals, bwd_vals = _matches(x, xp, cfg or MetricConfig(), workspace)
     return float(fwd_vals.mean() + bwd_vals.mean())
 
 
@@ -270,23 +260,13 @@ def functional_similarity(x: WorldFuncRep, xp: WorldFuncRep,
     return -dcd(x, xp, cfg)
 
 
-def dcd_value_and_cotangent(x: WorldFuncRep, xp: WorldFuncRep,
-                            cfg: MetricConfig | None = None, *,
-                            workspace: _DcdWorkspace | None = None):
-    """One-pass (value, d_points, d_directions) for optimizer inner loops.
-
-    `workspace`, built for these set sizes and this metric, supplies every
-    buffer; the cotangents are fresh arrays either way.
-    """
-    cfg = cfg or MetricConfig()
-    if workspace is None:
-        workspace = _DcdWorkspace(len(x), len(xp), cfg)
-    else:
-        workspace.check(x, xp, cfg)
-    fwd, bwd, fwd_vals, bwd_vals = _matches(x, xp, cfg, workspace)
-    value = float(fwd_vals.mean() + bwd_vals.mean())
+def dcd_value_and_cotangent(x: WorldFuncRep, xp: WorldFuncRep, workspace: _DcdWorkspace):
+    """One-pass (value, d_points, d_directions) for optimizer inner loops,
+    under the metric of `workspace`, which is built for these set sizes and
+    supplies every buffer; the cotangents are fresh arrays."""
+    fwd, bwd, fwd_vals, bwd_vals = _matches(x, xp, workspace.cfg, workspace)
     d_points, d_dirs = workspace.cotangent(x, xp, fwd, bwd)
-    return value, d_points, d_dirs
+    return float(fwd_vals.mean() + bwd_vals.mean()), d_points, d_dirs
 
 
 def _smooth_norm_grad(diff: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:

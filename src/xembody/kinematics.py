@@ -307,7 +307,8 @@ def _cross_rows(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> 
 
 class _PullbackWorkspace:
     """Constants and buffers for repeated `evaluate_with_pullback` calls on one
-    embodiment and one set of link-local rows.
+    embodiment and one set of link-local rows, each on the link named or
+    indexed by its entry of `link_ids`.
 
     The pullback needs, per link with an actuated ancestor, the sums of dp,
     p x dp and n x dn over the link's rows. Each link's rows form one contiguous
@@ -318,9 +319,9 @@ class _PullbackWorkspace:
     links ascending, then root to link.
     """
 
-    def __init__(self, e: Embodiment, link_indices: np.ndarray, points: np.ndarray,
-                 normals: np.ndarray):
+    def __init__(self, e: Embodiment, link_ids, points: np.ndarray, normals: np.ndarray):
         table = _chain(e)
+        link_indices = _resolve_link_indices(e, link_ids)
         n = len(link_indices)
         self.embodiment, self.link_indices = e, link_indices
         self.points, self.normals = points, normals
@@ -386,9 +387,7 @@ class _PullbackWorkspace:
                            minlength=self.embodiment.dof)
 
 
-def evaluate_with_pullback(e: Embodiment, q: np.ndarray, link_indices: np.ndarray,
-                           points: np.ndarray, normals: np.ndarray, *,
-                           workspace: _PullbackWorkspace | None = None):
+def evaluate_with_pullback(workspace: _PullbackWorkspace, q: np.ndarray):
     """One FK pass: world sets plus an exact reverse-mode pullback closure.
 
     Returns (world_points, world_dirs, pullback) where
@@ -397,14 +396,9 @@ def evaluate_with_pullback(e: Embodiment, q: np.ndarray, link_indices: np.ndarra
     link, sum dp.(a x (p - o)) = a.(sum p x dp - o x sum dp), so each link
     needs its moments once, not once per ancestor joint.
 
-    `workspace`, built for these same `e`, `link_indices`, `points` and
-    `normals`, holds what does not change between calls; the returned arrays
-    are then its buffers, overwritten by the next call on it.
+    `workspace` holds the embodiment, the link-local rows and what does not
+    change between calls; the world sets returned are its buffers
+    (`workspace.world`), overwritten by the next call on it.
     """
-    if workspace is None:
-        workspace = _PullbackWorkspace(e, link_indices, points, normals)
-    elif (workspace.embodiment is not e or workspace.link_indices is not link_indices
-          or workspace.points is not points or workspace.normals is not normals):
-        raise ValidationError("pullback workspace built for another embodiment or rows")
     world_points, world_dirs = workspace.evaluate(q)
     return world_points, world_dirs, workspace.pullback

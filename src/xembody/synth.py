@@ -104,6 +104,8 @@ class Demonstration:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 2 or len(arr) != length:
                 raise ValidationError(f"{name} must be (L, dof) with L = {length}")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
         if self.arm_positions.shape != self.arm_targets.shape \
                 or self.ee_positions.shape != self.ee_targets.shape:

@@ -20,12 +20,12 @@ from xembody import (AlignmentConfig, LinkSpec, MetricConfig, align_frame, box_m
                      template_trajectory, write_dataset)
 from xembody.align import minimize_with_patience
 from xembody.augment import SpatialTransform, augment_rep_trajectory
-from xembody.chamfer import _pair_costs
+from xembody.chamfer import _DcdWorkspace, _pair_costs, dcd_value_and_cotangent
 from xembody.cli import main
 from xembody.dataset import read_demonstration, read_index
 from xembody.funcrep import WorldFuncRep
-from xembody.kinematics import (_resolve_link_indices, evaluate_with_pullback,
-                                evaluate_world_set, forward_kinematics)
+from xembody.kinematics import (_PullbackWorkspace, evaluate_with_pullback, evaluate_world_set,
+                                forward_kinematics)
 from xembody.synth import PointCloud
 
 
@@ -117,12 +117,10 @@ def _align_loss_and_grad(e, template, x_t, metric):
         return dcd(x_t, WorldFuncRep(pts, dirs), metric) + joint_limit_penalty(q, e)[0]
 
     def grad(q):
-        from xembody.chamfer import dcd_value_and_cotangent
-
         pts, dirs, pullback = evaluate_with_pullback(
-            e, q, _resolve_link_indices(e, template.link_names), template.points,
-            template.normals)
-        _, dp, dd = dcd_value_and_cotangent(x_t, WorldFuncRep(pts, dirs), metric)
+            _PullbackWorkspace(e, template.link_names, template.points, template.normals), q)
+        _, dp, dd = dcd_value_and_cotangent(x_t, WorldFuncRep(pts, dirs),
+                                            _DcdWorkspace(len(x_t), len(pts), metric))
         return pullback(dp, dd) + joint_limit_penalty(q, e)[1]
 
     return loss, grad
@@ -130,7 +128,8 @@ def _align_loss_and_grad(e, template, x_t, metric):
 
 def _argmin_margin(x, xq, metric):
     """Gap between the best and second-best combined cost over rows and columns."""
-    cost = _pair_costs(x.points, x.directions, xq.points, xq.directions, metric)
+    cost = _pair_costs(x.points, x.directions, xq.points, xq.directions, metric,
+                       out=np.empty((3, len(x), len(xq))))
     rows = np.sort(cost, axis=1)
     cols = np.sort(cost, axis=0)
     row_gap = np.min(rows[:, 1] - rows[:, 0]) if cost.shape[1] > 1 else np.inf

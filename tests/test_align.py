@@ -446,7 +446,8 @@ def _value_and_grad_reference(target, template, x_t, cfg):
         r = rot[link_indices]
         points = np.einsum("...nij,nj->...ni", r, template.points) + trans[link_indices]
         dirs = np.einsum("...nij,nj->...ni", r, template.normals)
-        cost = _pair_costs(x_t.points, x_t.directions, points, dirs, metric)
+        cost = _pair_costs(x_t.points, x_t.directions, points, dirs, metric,
+                           out=np.empty((3, len(x_t), len(points))))
         fwd, bwd = np.argmin(cost, axis=1), np.argmin(cost, axis=0)
         n, m = cost.shape
         value = float(cost[np.arange(n), fwd].mean() + cost[bwd, np.arange(m)].mean())
@@ -611,16 +612,26 @@ def test_step_calls_each_traced_layer_once(gripper1, hand6, monkeypatch):
     for name in ("dcd_value_and_cotangent", "evaluate_with_pullback", "joint_limit_penalty"):
         original = getattr(align, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args, **kwargs)
+        def recorded(*args, _name=name, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            calls.setdefault(_name, []).append((args, result))
+            return result
 
-        monkeypatch.setattr(align, name, counted)
+        monkeypatch.setattr(align, name, recorded)
     aligned = align_trajectory(rep, hand6, target, None, AlignmentConfig())
     assert np.all((aligned.configs > hand6.lower_limits) & (aligned.configs < hand6.upper_limits))
-    steps = sum(d.steps_used for d in aligned.diagnostics)
-    assert calls == {"dcd_value_and_cotangent": steps, "evaluate_with_pullback": steps,
-                     "joint_limit_penalty": steps}
+    steps = [d.steps_used for d in aligned.diagnostics]
+    assert {name: len(made) for name, made in calls.items()} == {
+        "dcd_value_and_cotangent": sum(steps), "evaluate_with_pullback": sum(steps),
+        "joint_limit_penalty": sum(steps)}
+    # What bench/tracing.py reads: the frame being aligned and the template's
+    # world set as the DCD kernel's first two arguments, and the pullback as
+    # the third result of the FK kernel.
+    frames = [frame for frame, n in zip(rep.frames, steps) for _ in range(n)]
+    for (args, _), frame in zip(calls["dcd_value_and_cotangent"], frames):
+        assert args[0] is frame
+        assert len(args[1]) == len(target)
+    assert all(callable(result[2]) for _, result in calls["evaluate_with_pullback"])
 
 
 @pytest.mark.parametrize("settings_", [

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import helpers
 from xembody import MetricConfig, ValidationError, chamfer, dcd, functional_similarity
-from xembody.chamfer import _matches, _pair_costs, _smooth_norm, dcd_value_and_cotangent
+from xembody.chamfer import (_DcdWorkspace, _matches, _pair_costs, _smooth_norm,
+                             dcd_value_and_cotangent)
 from xembody.funcrep import WorldFuncRep
 
 
@@ -118,7 +120,8 @@ def test_empty_set_is_an_error():
 
 def full_matrix_matches(x, xp, cfg):
     """Row and column argmins of one full cost matrix, ties to the lowest index."""
-    cost = _pair_costs(x.points, x.directions, xp.points, xp.directions, cfg)
+    cost = _pair_costs(x.points, x.directions, xp.points, xp.directions, cfg,
+                       out=np.empty((3, len(x), len(xp))))
     fwd, bwd = np.argmin(cost, axis=1), np.argmin(cost, axis=0)
     return fwd, bwd, cost[np.arange(len(x)), fwd], cost[bwd, np.arange(len(xp))]
 
@@ -180,6 +183,20 @@ def test_blocked_matches_keep_the_first_nan_like_argmin():
     assert_same_matches(got, want)
 
 
+def test_one_shot_dcd_memory_is_its_cost_planes(rng):
+    # 256 rows x 1024 columns is one block: three 2 MiB cost planes. A
+    # transposed copy for the column argmins would add a fourth.
+    x = helpers.random_funcrep(rng, 256, scale=0.1)
+    xp = helpers.random_funcrep(rng, 1024, scale=0.1)
+    tracemalloc.start()
+    try:
+        dcd(x, xp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2**20
+
+
 def _pair_costs_reference(points_a, dirs_a, points_b, dirs_b, cfg):
     """The einsum kernel `_pair_costs` replaced; it must give the same bits."""
     diff = points_a[:, None, :] - points_b[None, :, :]
@@ -228,19 +245,21 @@ LAST_BIT_PAIRS = (np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.3]]),
 @example(case=LAST_BIT_PAIRS)
 def test_pair_costs_match_einsum_reference(case):
     points_a, dirs_a, points_b, dirs_b, cfg = case
-    cost = _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg)
+    n, m = len(points_a), len(points_b)
+    cost = _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg, out=np.empty((3, n, m)))
     assert np.array_equal(cost, _pair_costs_reference(points_a, dirs_a, points_b, dirs_b, cfg))
-    assert np.array_equal(_pair_costs(points_b, dirs_b, points_a, dirs_a, cfg), cost.T)
+    assert np.array_equal(_pair_costs(points_b, dirs_b, points_a, dirs_a, cfg,
+                                      out=np.empty((3, m, n))), cost.T)
     # A's coordinates repeated along each row, as a workspace keeps them.
-    tiles = np.repeat(np.concatenate([points_a, dirs_a], axis=1).T[:, :, None], len(points_b),
-                      axis=2)
-    assert np.array_equal(_pair_costs(points_a, dirs_a, points_b, dirs_b, cfg, tiles=tiles), cost)
+    tiles = np.repeat(np.concatenate([points_a, dirs_a], axis=1).T[:, :, None], m, axis=2)
+    assert np.array_equal(_pair_costs(points_a, dirs_a, points_b, dirs_b, cfg,
+                                      out=np.empty((3, n, m)), tiles=tiles), cost)
 
 
 def test_cotangent_identical_sets_smoothed(rng):
     x = helpers.random_funcrep(rng, 9)
     cfg = MetricConfig(0.5, 1e-9)
-    _, d_points, d_dirs = dcd_value_and_cotangent(x, x, cfg)
+    _, d_points, d_dirs = dcd_value_and_cotangent(x, x, _DcdWorkspace(len(x), len(x), cfg))
     n = len(x)
     assert np.allclose(d_points, 0.0, atol=1e-15)
     expected = -cfg.lam * (1.0 / n + 1.0 / n) * x.directions
@@ -250,7 +269,8 @@ def test_cotangent_identical_sets_smoothed(rng):
 def test_cotangent_single_pair_lambda_zero():
     x = pair([0, 0, 0], [0, 0, 1])
     xp = pair([1, 0, 0], [0, 0, 1])
-    _, d_points, d_dirs = dcd_value_and_cotangent(x, xp, MetricConfig(0.0, 0.0))
+    workspace = _DcdWorkspace(1, 1, MetricConfig(0.0, 0.0))
+    _, d_points, d_dirs = dcd_value_and_cotangent(x, xp, workspace)
     assert np.allclose(d_points, [[2.0, 0.0, 0.0]], atol=1e-15)
     assert np.array_equal(d_dirs, np.zeros((1, 3)))
 
@@ -261,7 +281,7 @@ def test_cotangent_matches_finite_differences(seed):
     x = helpers.random_funcrep(rng, int(rng.integers(2, 8)))
     xp = helpers.random_funcrep(rng, int(rng.integers(2, 8)))
     cfg = MetricConfig(0.5, 1e-9)
-    _, d_points, d_dirs = dcd_value_and_cotangent(x, xp, cfg)
+    _, d_points, d_dirs = dcd_value_and_cotangent(x, xp, _DcdWorkspace(len(x), len(xp), cfg))
 
     h = 1e-7
     fd_points = np.zeros_like(d_points)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -352,6 +353,35 @@ def test_validate_accepts_configurations_at_the_limits(tmp_path, hand6, robot_fi
     findings = {(f["demo"], f["finding"]) for f in json.loads(capsys.readouterr().out)["findings"]}
     assert findings == {("below", "joint 'thumb_slide' outside limits"),
                         ("above", "joint 'finger_l_slide' outside limits")}
+
+
+def test_validate_reports_nonfinite_joint_value(tmp_path, hand6, robot_files, capsys):
+    _, tgt = robot_files
+    trajectory = np.tile(hand6.mid_range_configuration(), (3, 1))
+    ds = tmp_path / "ds"
+    write_dataset({name: helpers.make_source_demo(hand6, trajectory, n_table=20, n_object=4)
+                   for name in ("clean", "poisoned")}, ds)
+    # One proprioception float of frame 1 becomes NaN, and the index checksum
+    # (BLAKE2b-64 over the frame blocks in order) is rewritten to match.
+    demo = ds / "poisoned"
+    points = json.loads((demo / "manifest.json").read_text())["point_counts"][1]
+    block = demo / "frames" / "000001.bin"
+    values = np.frombuffer(block.read_bytes(), dtype="<f4").copy()
+    values[3 * points + 2] = np.nan
+    block.write_bytes(values.tobytes())
+    digest = hashlib.blake2b(digest_size=8)
+    for path in sorted((demo / "frames").iterdir()):
+        digest.update(path.read_bytes())
+    index = json.loads((ds / "index.json").read_text())
+    for entry in index["demos"]:
+        if entry["id"] == "poisoned":
+            entry["checksum"] = digest.hexdigest()
+    (ds / "index.json").write_text(json.dumps(index))
+
+    assert main(["validate", str(ds), "--embodiment", str(tgt)]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [f["demo"] for f in findings] == ["poisoned"]
+    assert "non-finite" in findings[0]["finding"]
 
 
 def test_inspect_round_trip(tmp_path, robot_files, source_dataset, capsys):

@@ -9,7 +9,7 @@ import helpers
 from xembody import (FunctionalTemplate, ValidationError, eval_template, evaluate_world_set,
                      forward_kinematics, template_trajectory)
 from xembody import kinematics
-from xembody.kinematics import _fk_frames, _resolve_link_indices, evaluate_with_pullback
+from xembody.kinematics import _fk_frames, _PullbackWorkspace, evaluate_with_pullback
 from xembody.robot import EmbodimentManifest, JointSpec, LinkSpec, build_embodiment
 from xembody.transforms import homogeneous, rotation_about_axis
 
@@ -240,8 +240,7 @@ def test_unknown_link_id_raises(planar2):
 
 def _pullback(e, q, link_ids, points, normals, d_points, d_normals):
     """dL/dq from world-frame cotangents, through the closure alignment runs."""
-    idx = _resolve_link_indices(e, link_ids)
-    _, _, pullback = evaluate_with_pullback(e, q, idx, points, normals)
+    _, _, pullback = evaluate_with_pullback(_PullbackWorkspace(e, link_ids, points, normals), q)
     return pullback(d_points, d_normals)
 
 

@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from xembody import (AlignedTrajectory, EmbodimentManifest, JointSpec, LinkSpec, PointCloud,
-                     SynthConfig, TriMesh, ValidationError, align_trajectory, build_embodiment,
-                     build_template, crop_workspace, fps_downsample, generate_actions,
-                     mask_robot_points, sample_robot_cloud, sample_surface,
+from xembody import (AlignedTrajectory, Demonstration, EmbodimentManifest, JointSpec, LinkSpec,
+                     PointCloud, SynthConfig, TriMesh, ValidationError, align_trajectory,
+                     build_embodiment, build_template, crop_workspace, fps_downsample,
+                     generate_actions, mask_robot_points, sample_robot_cloud, sample_surface,
                      synthesize_demonstration, synthesize_observation, template_trajectory)
 from xembody.align import FrameDiagnostics
 from xembody.transforms import rotation_about_axis
@@ -37,6 +37,17 @@ def test_actions_split_follows_manifest():
     e = helpers.build_planar2()  # all dof default to arm
     arm, ee = generate_actions(np.zeros((2, 2)), e)
     assert arm.shape == (2, 2) and ee.shape == (2, 0)
+
+
+@pytest.mark.parametrize("name", ["arm_positions", "ee_positions", "arm_targets", "ee_targets"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_demonstration_refuses_nonfinite_joint_values(name, bad):
+    joints = {key: np.zeros((2, 1))
+              for key in ("arm_positions", "ee_positions", "arm_targets", "ee_targets")}
+    joints[name][1, 0] = bad
+    clouds = (PointCloud(np.zeros((1, 3))),) * 2
+    with pytest.raises(ValidationError, match=f"{name} contains non-finite values"):
+        Demonstration("toy", clouds, **joints)
 
 
 def test_crop_inclusive_boundary():
