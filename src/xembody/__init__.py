@@ -16,7 +16,8 @@ from .chamfer import MetricConfig, dcd, functional_similarity
 from .dataset import (DatasetIndex, IndexEntry, ingest_recorded_log, read_demonstration,
                       read_index, write_demonstration, write_dataset, write_index)
 from .errors import (AlignmentError, ChecksumError, DatasetError, DatasetFormatError,
-                     DescriptionError, StructureError, ValidationError, XembodyError)
+                     DescriptionError, KernelBuildError, StructureError, ValidationError,
+                     XembodyError)
 from .funcrep import (FuncRepTrajectory, FunctionalTemplate, WorldFuncRep, build_template,
                       eval_template, template_trajectory)
 from .kinematics import LinkPoseSet, evaluate_world_set, forward_kinematics

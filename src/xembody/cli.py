@@ -31,7 +31,8 @@ from .fields import Fields
 from .funcrep import (FunctionalTemplate, _subseed, build_template, eval_template,
                       template_trajectory)
 from .robot import Embodiment, load_embodiment
-from .synth import Demonstration, SynthConfig, in_box, synthesize_demonstration
+from .synth import (Demonstration, SynthConfig, in_box, load_fps_kernel,
+                    synthesize_demonstration)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -270,6 +271,9 @@ def _run(command: str, args: argparse.Namespace, transforms, **augment) -> int:
     """Convert every input demo once per transform; `None` keeps the demo as is."""
     started = time.perf_counter()
     manifest = load_run_manifest(args)
+    # Built before any demo is read, so a missing compiler fails the run once;
+    # forked workers inherit the loaded kernel.
+    load_fps_kernel()
     source = load_embodiment(manifest.source_description, manifest.source_manifest)
     target = load_embodiment(manifest.target_description, manifest.target_manifest)
     template_seed = manifest.template_seed

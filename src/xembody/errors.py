@@ -46,3 +46,7 @@ class DatasetFormatError(DatasetError):
 
 class ChecksumError(DatasetError):
     """Stored and recomputed checksums disagree."""
+
+
+class KernelBuildError(XembodyError):
+    """A compiled kernel could not be built or loaded; the message names the compiler."""

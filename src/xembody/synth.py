@@ -10,14 +10,16 @@ randomness derives from hash(global seed, demo id, frame).
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .align import AlignedTrajectory
-from .errors import ValidationError
+from .errors import KernelBuildError, ValidationError
 from .funcrep import _subseed
 from .kinematics import forward_kinematics
 from .mesh import sample_triangles
@@ -32,28 +34,95 @@ TAG_ROBOT = 1
 _MASK_BLOCK = 1 << 12
 
 
+# Greedy farthest-point sampling over m (x, y, z) rows. The squared distance is
+# summed as (dx² + dz²) + dy², the order np.einsum("mk,mk->m") uses on (M, 3)
+# rows, and the strict `>` keeps the lowest index of a tied maximum, as
+# np.argmax does: the picks match tests/test_synth.py::_fps_indices_reference
+# bit for bit. That needs `-ffp-contract=off` (an FMA rounds differently) and
+# rules out -ffast-math.
+_FPS_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+void xembody_fps(const double *p, int64_t m, int64_t n, int64_t start,
+                 double *dist, int64_t *selected)
+{
+    int64_t pick = start;
+    selected[0] = pick;
+    for (int64_t i = 0; i < m; ++i)
+        dist[i] = INFINITY;
+    for (int64_t k = 1; k < n; ++k) {
+        const double px = p[3 * pick], py = p[3 * pick + 1], pz = p[3 * pick + 2];
+        double best = -1.0;
+        int64_t arg = 0;
+        for (int64_t i = 0; i < m; ++i) {
+            const double dx = p[3 * i] - px, dy = p[3 * i + 1] - py, dz = p[3 * i + 2] - pz;
+            const double d = (dx * dx + dz * dz) + dy * dy;
+            const double v = d < dist[i] ? d : dist[i];
+            dist[i] = v;
+            if (v > best) {
+                best = v;
+                arg = i;
+            }
+        }
+        selected[k] = pick = arg;
+    }
+}
+"""
+_COMPILER = "cc"
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+@functools.cache
+def load_fps_kernel():
+    """Compile and load the FPS kernel, once per process.
+
+    The shared library is built in a private temporary directory that is
+    removed once the library is loaded, so nothing is cached on disk. Raises
+    KernelBuildError, naming the compiler, when it cannot be built or loaded.
+    """
+    import ctypes
+    import subprocess
+    import tempfile
+
+    with tempfile.TemporaryDirectory(prefix="xembody-fps-") as tmp:
+        source, library = os.path.join(tmp, "fps.c"), os.path.join(tmp, "fps.so")
+        with open(source, "w") as f:
+            f.write(_FPS_SOURCE)
+        command = [_COMPILER, *_CFLAGS, "-o", library, source]
+        try:
+            built = subprocess.run(command, capture_output=True, text=True)
+        except OSError as err:
+            raise KernelBuildError(f"cannot build the FPS kernel: compiler {_COMPILER!r} "
+                                   f"did not start: {err}") from err
+        if built.returncode != 0:
+            raise KernelBuildError(f"cannot build the FPS kernel: compiler {_COMPILER!r} "
+                                   f"exited {built.returncode}: {built.stderr.strip()}")
+        try:
+            kernel = ctypes.CDLL(library).xembody_fps
+        except OSError as err:
+            raise KernelBuildError(f"cannot load the FPS kernel built by {_COMPILER!r}: "
+                                   f"{err}") from err
+    kernel.restype = None
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_void_p)
+    return kernel
+
+
 def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
-    # Per-axis arrays and preallocated buffers keep each pick to a few
-    # in-place ufuncs. The squared distance is summed as (dx² + dz²) + dy²:
-    # that order reproduces np.einsum("mk,mk->m") on (M, 3) rows bit for bit,
-    # so the picks match tests/test_synth.py::_fps_indices_reference exactly.
-    x, y, z = (np.ascontiguousarray(points[:, k]) for k in range(3))
-    dist = np.full(len(x), np.inf)
-    acc = np.empty_like(dist)
-    tmp = np.empty_like(dist)
+    """Greedy farthest-point selection of `n` of the (M, 3) rows, seeded at `start`."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    m = len(points)
+    if points.shape != (m, 3):
+        raise ValidationError(f"points must be (M, 3), got shape {points.shape}")
+    if not 1 <= n <= m:
+        raise ValidationError(f"cannot pick {n} of {m} points")
+    if not 0 <= start < m:
+        raise ValidationError(f"start index {start} out of range for {m} points")
+    dist = np.empty(m)
     selected = np.empty(n, dtype=np.int64)
-    selected[0] = pick = start
-    for k in range(1, n):
-        np.subtract(x, x[pick], out=acc)
-        np.multiply(acc, acc, out=acc)
-        np.subtract(z, z[pick], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.subtract(y, y[pick], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(acc, tmp, out=acc)
-        np.minimum(dist, acc, out=dist)
-        selected[k] = pick = dist.argmax()  # first occurrence = lowest index on ties
+    load_fps_kernel()(points.ctypes.data, m, int(n), int(start), dist.ctypes.data,
+                      selected.ctypes.data)
     return selected
 
 
@@ -286,6 +355,12 @@ def sample_robot_cloud(e: Embodiment, q: np.ndarray, count: int, seed: int) -> P
     return PointCloud(points, np.full(count, TAG_ROBOT, dtype=np.uint8))
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def fps_downsample(pc: PointCloud, n: int, start_index: int = 0,
                    seed: int | None = None) -> PointCloud:
     """Farthest-point downsample to exactly `n` points.
@@ -295,6 +370,8 @@ def fps_downsample(pc: PointCloud, n: int, start_index: int = 0,
     deficit is padded by uniform resampling with `seed`. Empty input is an
     error.
     """
+    n = _integer(n, "target size")
+    start_index = _integer(start_index, "start index")
     if n < 1:
         raise ValidationError(f"target size must be at least 1, got {n}")
     m = len(pc)
@@ -304,8 +381,6 @@ def fps_downsample(pc: PointCloud, n: int, start_index: int = 0,
         rng = np.random.default_rng(0 if seed is None else seed)
         extra = rng.integers(0, m, size=n - m)
         return pc.take(np.concatenate([np.arange(m), extra]))
-    if not 0 <= start_index < m:
-        raise ValidationError(f"start index {start_index} out of range for {m} points")
     return pc.take(_fps_indices(pc.points, n, start_index))
 
 

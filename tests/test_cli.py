@@ -11,7 +11,7 @@ import pytest
 import helpers
 import xembody
 from xembody import AlignmentConfig, SynthConfig, serialize_embodiment, write_dataset
-from xembody import cli
+from xembody import cli, synth
 from xembody.cli import EIS_SAMPLES, MANIFEST_KEYS, RunManifest, main
 from xembody.dataset import INDEX_FORMAT, read_demonstration, read_index
 from xembody.synth import derive_frame_seed
@@ -609,6 +609,22 @@ def test_malformed_run_flags_exit_2_before_any_output(tmp_path, robot_files, sou
     code = main(retarget_args(src, tgt, source_dataset, out) + flags)
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not out.exists() and not Path(str(out) + ".report.json").exists()
+
+
+def test_missing_compiler_exits_2_before_any_output(tmp_path, robot_files, source_dataset,
+                                                    monkeypatch, capsys):
+    monkeypatch.setattr(synth, "_COMPILER", "xembody-missing-cc")
+    synth.load_fps_kernel.cache_clear()
+    src, tgt = robot_files
+    out = tmp_path / "out"
+    try:
+        code = main(retarget_args(src, tgt, source_dataset, out))
+    finally:
+        synth.load_fps_kernel.cache_clear()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "xembody-missing-cc" in err[0]
     assert not out.exists() and not Path(str(out) + ".report.json").exists()
 
 

@@ -1,3 +1,5 @@
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -6,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from xembody import (AlignedTrajectory, Demonstration, EmbodimentManifest, JointSpec, LinkSpec,
-                     PointCloud, SynthConfig, TriMesh, ValidationError, align_trajectory,
-                     build_embodiment, build_template, crop_workspace, fps_downsample,
+from xembody import (AlignedTrajectory, Demonstration, EmbodimentManifest, JointSpec,
+                     KernelBuildError, LinkSpec, PointCloud, SynthConfig, TriMesh,
+                     ValidationError, align_trajectory, build_embodiment, build_template,
+                     crop_workspace, fps_downsample,
                      generate_actions, mask_robot_points, sample_robot_cloud, sample_surface,
                      synthesize_demonstration, synthesize_observation, template_trajectory)
+from xembody import synth
 from xembody.align import FrameDiagnostics
 from xembody.transforms import rotation_about_axis
 from xembody.synth import TAG_ROBOT, TAG_SCENE, _fps_indices, derive_frame_seed
@@ -407,6 +411,87 @@ def test_fps_deficit_pads_to_exact_size(rng):
 def test_fps_empty_is_an_error():
     with pytest.raises(ValidationError):
         fps_downsample(PointCloud(np.zeros((0, 3))), 4)
+
+
+@pytest.mark.parametrize("n, start", [
+    (4, True), (True, 0), (4.0, 0), (4, 2.5), (4, np.float64(2)), ("4", 0), (None, 0),
+], ids=["bool-start", "bool-size", "float-size", "float-start", "numpy-float-start",
+        "string-size", "no-size"])
+def test_fps_refuses_non_integer_size_and_start(n, start):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        fps_downsample(PointCloud(np.arange(30.0).reshape(10, 3)), n, start)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_fps_accepts_numpy_integers(kind):
+    pts = np.arange(30.0).reshape(10, 3)
+    out = fps_downsample(PointCloud(pts), kind(4), kind(2))
+    assert np.array_equal(out.points, pts[_fps_indices_reference(pts, 4, 2)])
+
+
+@pytest.mark.parametrize("n, start", [(0, 0), (11, 0), (4, -1), (4, 10)])
+def test_fps_indices_refuses_out_of_range_arguments(n, start):
+    with pytest.raises(ValidationError):
+        _fps_indices(np.zeros((10, 3)), n, start)
+
+
+_rows = np.random.default_rng(4).normal(size=(60, 6))
+FPS_EDGE_CASES = {
+    "one-point": (np.array([[0.5, -1.0, 2.0]]), 1, 0),
+    "start-at-last-row": (_rows[:, :3].copy(), 20, 59),
+    "all-identical": (np.ones((25, 3)), 25, 7),
+    # Squared distances overflow to inf, so every pick is a tie at inf.
+    "overflow-to-inf": (np.array([[1e200, -1e200, 0.0], [-1e200, 1e200, 3e200], [0.0, 0.0, 0.0],
+                                  [2e200, 1e200, -1e200], [-3e200, 0.0, 1e200]]), 5, 2),
+    "strided-rows": (_rows[::2, :3], 30, 4),
+    "strided-columns": (_rows[:, ::2], 40, 1),
+    "fortran-order": (np.asfortranarray(_rows[:, 3:]), 60, 0),
+    "float32": (_rows[:, :3].astype(np.float32), 45, 9),
+}
+
+
+@pytest.mark.parametrize("case", FPS_EDGE_CASES.values(), ids=FPS_EDGE_CASES.keys())
+def test_fps_kernel_edges_match_einsum_reference(case):
+    pts, n, start = case
+    got = _fps_indices(pts, n, start)
+    assert np.array_equal(got, _fps_indices_reference(pts.astype(np.float64), n, start))
+
+
+def test_fps_kernel_overflow_ties_go_to_the_lowest_index():
+    pts, n, start = FPS_EDGE_CASES["overflow-to-inf"]
+    assert _fps_indices(pts, n, start).tolist() == [2, 0, 1, 3, 4]
+
+
+@pytest.fixture()
+def fresh_kernel():
+    """Drop the process's loaded kernel so the test builds its own; the next
+    caller rebuilds it."""
+    synth.load_fps_kernel.cache_clear()
+    yield
+    synth.load_fps_kernel.cache_clear()
+
+
+def test_fps_kernel_build_failure_names_the_compiler(monkeypatch, fresh_kernel):
+    monkeypatch.setattr(synth, "_COMPILER", "xembody-missing-cc")
+    with pytest.raises(KernelBuildError, match="xembody-missing-cc"):
+        fps_downsample(PointCloud(np.arange(30.0).reshape(10, 3)), 4)
+
+
+def test_fps_kernel_build_leaves_no_files(monkeypatch, tmp_path, fresh_kernel):
+    made = []
+
+    def mkdtemp(*args, **kwargs):
+        made.append(real_mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    real_mkdtemp = tempfile.mkdtemp
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    synth.load_fps_kernel()
+    assert len(made) == 1 and os.path.dirname(made[0]) == str(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    pts = _rows[:, :3]
+    assert np.array_equal(_fps_indices(pts, 10, 3), _fps_indices_reference(pts, 10, 3))
 
 
 def test_observation_pipeline_size_and_tags(gripper1, hand6):
