@@ -170,7 +170,7 @@ class _AlignmentWorkspace:
         self.target, self.cfg = target, cfg
         self.kinematics = _PullbackWorkspace(target, template.link_names, template.points,
                                              template.normals)
-        self.matching = _DcdWorkspace(source_rows, len(template), cfg.metric, tiles=True)
+        self.matching = _DcdWorkspace(source_rows, len(template), cfg.metric)
         self.world = WorldFuncRep(*self.kinematics.world)  # views of the world buffers
         self.report_metric = MetricConfig(lam=cfg.metric.lam, epsilon=0.0)
         self.frame: WorldFuncRep | None = None  # the source set being aligned

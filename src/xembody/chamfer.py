@@ -9,9 +9,12 @@ where the argmin couples position and direction jointly, ties break to the
 lowest index, and |.| is the smoothed norm sqrt(d^2 + eps^2) - eps (plain
 Euclidean at eps = 0). Functional similarity is the negative distance.
 
-Matches are found by brute force over row blocks of the (N, N') cost matrix,
-so memory stays near `BLOCK_ENTRIES` entries for any set size and every
-value equals the one the full matrix would hold.
+Matches are found by brute force in one pass of a compiled kernel
+(`native.py`), one source row at a time: it computes the row's costs, takes
+the row's argmin and updates every column's running minimum. A minimum moves
+only to a strictly lower value or to the first NaN, as np.argmin does, so
+ties keep the lowest index and the matches are those of np.argmin over the
+full matrix, bit for bit. Memory is one row of costs, whatever the set sizes.
 """
 
 from __future__ import annotations
@@ -22,11 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .funcrep import WorldFuncRep
-
-# A block holds at most BLOCK_ROWS rows of the cost matrix, fewer when a row
-# is long, so that one block stays near BLOCK_ENTRIES entries.
-BLOCK_ROWS = 256
-BLOCK_ENTRIES = 1 << 18
+from .native import load_kernels
 
 
 @dataclass(frozen=True)
@@ -57,85 +56,63 @@ def _smooth_norm(d: np.ndarray, eps: float, out: np.ndarray | None = None) -> np
     return out
 
 
-def _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg: MetricConfig, out: np.ndarray,
-                tiles: np.ndarray | None = None) -> np.ndarray:
-    """(N, M) combined-term matrix: smooth(|p_a - p_b|) - lam * <n_a, n_b>.
-
-    Each sum over the three axes runs as (x + z) + y, one (N, M) ufunc pass
-    per axis. That order reproduces np.einsum("nmk,nmk->nm") for the squared
-    distance and np.einsum("nk,mk->nm") for the dot product bit for bit (see
-    tests/test_chamfer.py::_pair_costs_reference); (x + y) + z does not.
-    Negated differences square to the same value and products commute, so
-    the matrix for (b, a) is exactly the transpose of the one for (a, b),
-    which makes dcd(X, X') == dcd(X', X) exact. BLAS matmul would not be.
-
-    `out`, of shape (3, N, M), holds the work; the result is plane 0 or 2 of
-    it, and plane 1 is left as scratch. `tiles`, of shape (6, N, M),
-    holds a's point and direction coordinates (x, y, z each) repeated along
-    each row: an outer difference or product then runs as a copy of b's
-    coordinate (from a contiguous row) into every row and one pass over whole
-    arrays, which numpy runs faster than the broadcast from a column. Each
-    entry is the same operation on the same two numbers either way.
-    """
-    sq, tmp, dot = out
-    if tiles is not None:
-        rows_b = np.empty((6, len(points_b)))
-        rows_b[:3] = points_b.T
-        rows_b[3:] = dirs_b.T
-
-    def outer(op, a, b, k, plane, into):
-        if tiles is None:
-            return op(a[:, k, None], b[:, k], out=into)
-        np.copyto(into, rows_b[plane])
-        return op(tiles[plane], into, out=into)
-
-    outer(np.subtract, points_a, points_b, 0, 0, sq)
-    np.multiply(sq, sq, out=sq)
-    outer(np.subtract, points_a, points_b, 2, 2, tmp)
-    np.multiply(tmp, tmp, out=tmp)
-    np.add(sq, tmp, out=sq)
-    outer(np.subtract, points_a, points_b, 1, 1, tmp)
-    np.multiply(tmp, tmp, out=tmp)
-    np.add(sq, tmp, out=sq)
-    cost = _smooth_norm(np.sqrt(sq, out=sq), cfg.epsilon, out=sq)
-    if cfg.lam != 0.0:
-        outer(np.multiply, dirs_a, dirs_b, 0, 3, dot)
-        outer(np.multiply, dirs_a, dirs_b, 2, 5, tmp)
-        np.add(dot, tmp, out=dot)
-        outer(np.multiply, dirs_a, dirs_b, 1, 4, tmp)
-        np.add(dot, tmp, out=dot)
-        np.multiply(dot, cfg.lam, out=dot)
-        cost = np.subtract(cost, dot, out=dot)
-    return cost
-
-
 class _DcdWorkspace:
-    """Buffers for DCD matches and cotangents between a source set of `n` rows
-    and sets of `m` rows under one metric, so that repeated calls allocate
-    nothing of the cost matrix's size.
+    """Match buffers between a source set of `n` rows and sets of `m` rows,
+    for any metric, so that repeated calls allocate nothing.
 
-    Per source set it keeps the cotangent's direction terms (-lam/N * n and
-    -lam/M * n) and, with `tiles` and a cost matrix of one block, the source
-    coordinate tiles of `_pair_costs`. A call on another source set than the
-    previous one recomputes them, so a source set must not change in place
-    while a workspace uses it. Filling the tiles costs more than they save in
-    one call, so only a workspace that sees each source set over several
-    calls (an optimizer's steps) should ask for them.
+    It keeps the buffer addresses the kernel takes and those of the last
+    source and target sets, so a call on the same two sets as the one before
+    converts no argument; a set changed in place is read afresh. The
+    cotangent's buffers are built by the first cotangent.
     """
 
-    def __init__(self, n: int, m: int, cfg: MetricConfig, tiles: bool = False):
+    def __init__(self, n: int, m: int, cfg: MetricConfig):
         if n == 0 or m == 0:
             raise ValidationError("directional Chamfer distance needs non-empty sets")
         self.n, self.m, self.cfg = n, m, cfg
-        rows = min(n, _block_rows(m))
-        self.costs = np.empty((3, rows, m))
-        self.tiles = np.empty((6, n, m)) if tiles and n == rows else None
-        self.matches = (np.empty(n, dtype=np.intp), np.empty(m, dtype=np.intp),
+        self.kernel = load_kernels().dcd_matches
+        self.matches = (np.empty(n, dtype=np.int64), np.empty(m, dtype=np.int64),
                         np.empty(n), np.empty(m))
-        self.block_bwd = (np.empty(m, dtype=np.intp), np.empty(m))
-        self.row_starts = np.arange(rows) * m  # flat index of each cost row
-        self.columns = np.arange(m)
-        self.flat = np.empty(max(rows, m), dtype=np.intp)
+        self.row = np.empty(m)  # the costs of one source row
+        self.outputs = tuple(a.ctypes.data for a in (self.row, *self.matches))
+        self.sets = [None, None]  # the source and target sets the addresses are of
+        self.rows = [None, None]  # their (points, directions), kept alive for the kernel
+        self.addresses = [0, 0, 0, 0]
+        self.gradient: _Cotangent | None = None
+
+    def bind(self, side: int, s: WorldFuncRep) -> None:
+        """Take the addresses of the source (side 0) or target (side 1) set's
+        rows. Rows that are not C-contiguous float64 are copied, and such a set
+        is not kept, so the next call copies it again rather than read a stale
+        copy."""
+        size = (self.n, self.m)[side]
+        if len(s) != size:
+            what = ("source", "target")[side]
+            raise ValidationError(f"a DCD workspace for {size} {what} rows got a set of "
+                                  f"{len(s)}")
+        rows = tuple(np.ascontiguousarray(a, dtype=np.float64) for a in (s.points, s.directions))
+        copied = rows[0] is not s.points or rows[1] is not s.directions
+        self.sets[side] = None if copied else s
+        self.rows[side] = rows
+        self.addresses[2 * side:2 * side + 2] = (rows[0].ctypes.data, rows[1].ctypes.data)
+
+    def cotangent(self, x: WorldFuncRep, xp: WorldFuncRep, fwd: np.ndarray, bwd: np.ndarray):
+        if self.gradient is None:
+            self.gradient = _Cotangent(self.n, self.m, self.cfg)
+        return self.gradient(x, xp, fwd, bwd)
+
+
+class _Cotangent:
+    """Buffers for the DCD cotangent between a source set of `n` rows and
+    sets of `m` rows under one metric.
+
+    Per source set it keeps the direction terms (-lam/N * n and -lam/M * n).
+    A call on another source set than the previous one recomputes them, so a
+    source set must not change in place while a workspace uses it.
+    """
+
+    def __init__(self, n: int, m: int, cfg: MetricConfig):
+        self.n, self.m, self.cfg = n, m, cfg
         self.width = 6 if cfg.lam != 0.0 else 3
         self.lanes = np.arange(self.width)
         self.weights = np.empty((n, self.width))  # [d smooth(|p' - p|) / N | -lam / N * n]
@@ -145,23 +122,15 @@ class _DcdWorkspace:
         self.backward_dirs = np.empty((n, 3))  # -lam / M * n
         self.source: WorldFuncRep | None = None
 
-    def use_source(self, x: WorldFuncRep) -> None:
-        if self.source is x:
-            return
-        self.source = x
-        if self.tiles is not None:
-            for k, column in enumerate(np.concatenate([x.points, x.directions], axis=1).T):
-                np.copyto(self.tiles[k], column[:, None])
-        lam = self.cfg.lam
-        if lam != 0.0:
-            np.multiply(-lam / self.n, x.directions, out=self.weights[:, 3:])
-            np.multiply(-lam / self.m, x.directions, out=self.backward_dirs)
-
-    def cotangent(self, x: WorldFuncRep, xp: WorldFuncRep, fwd: np.ndarray, bwd: np.ndarray):
+    def __call__(self, x: WorldFuncRep, xp: WorldFuncRep, fwd: np.ndarray, bwd: np.ndarray):
         """(d_points, d_directions) of the DCD with respect to xp's rows, given
-        the matches of the source set in use; both are fresh arrays."""
+        the matches between x and xp; both are fresh arrays."""
         n, m, width = self.n, self.m, self.width
         lam, eps = self.cfg.lam, self.cfg.epsilon
+        if self.source is not x and lam != 0.0:
+            np.multiply(-lam / n, x.directions, out=self.weights[:, 3:])
+            np.multiply(-lam / m, x.directions, out=self.backward_dirs)
+        self.source = x
 
         # Both sums' smooth-norm gradients in one pass: rows are independent.
         forward, backward = self.diffs[:n], self.diffs[n:]
@@ -190,56 +159,20 @@ class _DcdWorkspace:
         return d_points, d_dirs
 
 
-def _block_rows(m: int) -> int:
-    """Rows per block of the cost matrix against a set of `m` rows."""
-    return max(1, min(BLOCK_ROWS, BLOCK_ENTRIES // m))
-
-
-def _block_matches(points, dirs, xp: WorldFuncRep, cfg: MetricConfig, work: _DcdWorkspace,
-                   out):
-    """Argmins of one block of rows into `out` = (fwd, bwd, fwd_vals, bwd_vals).
-
-    The column argmins run along the rows of a transposed copy in the cost
-    planes' scratch plane, so no call allocates one.
-    """
-    fwd, bwd, fwd_vals, bwd_vals = out
-    k, m = len(points), len(xp)
-    planes = work.costs[:, :k]
-    cost = _pair_costs(points, dirs, xp.points, xp.directions, cfg, out=planes,
-                       tiles=work.tiles)
-    np.argmin(cost, axis=1, out=fwd)  # first occurrence = lowest index on ties
-    transposed = planes[1].reshape(m, k)
-    np.copyto(transposed, cost.T)
-    np.argmin(transposed, axis=1, out=bwd)
-    flat = cost.reshape(-1)
-    np.take(flat, np.add(work.row_starts[:k], fwd, out=work.flat[:k]), out=fwd_vals)
-    index = np.multiply(bwd, m, out=work.flat[:m])
-    index += work.columns
-    np.take(flat, index, out=bwd_vals)
-
-
 def _matches(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig,
              work: _DcdWorkspace | None = None):
-    """Row and column argmins of the cost matrix, one block of rows at a time.
+    """Row and column argmins of the (N, N') cost matrix under `cfg`, in one
+    call of the compiled kernel: (fwd, bwd, fwd_vals, bwd_vals), which are
+    `work`'s buffers (fresh ones without it).
 
-    A column's running minimum moves only to a strictly lower value, or to
-    the first NaN as np.argmin does, so ties keep the lowest row index and
-    the result equals the argmins of the full matrix bit for bit. The results
-    are `work`'s buffers (fresh ones without it).
+    Refuses a workspace built for other set sizes with ValidationError.
     """
     work = _DcdWorkspace(len(x), len(xp), cfg) if work is None else work
-    work.use_source(x)
-    fwd, bwd, fwd_vals, bwd_vals = work.matches
-    rows = len(work.row_starts)
-    for start in range(0, len(x), rows):
-        block = slice(start, start + rows)
-        col, col_vals = (bwd, bwd_vals) if start == 0 else work.block_bwd
-        _block_matches(x.points[block], x.directions[block], xp, cfg, work,
-                       (fwd[block], col, fwd_vals[block], col_vals))
-        if start:
-            lower = (col_vals < bwd_vals) | (np.isnan(col_vals) & ~np.isnan(bwd_vals))
-            bwd[lower] = col[lower] + start
-            bwd_vals[lower] = col_vals[lower]
+    if x is not work.sets[0]:
+        work.bind(0, x)
+    if xp is not work.sets[1]:
+        work.bind(1, xp)
+    work.kernel(*work.addresses, work.n, work.m, cfg.lam, cfg.epsilon, *work.outputs)
     return work.matches
 
 
@@ -248,7 +181,8 @@ def dcd(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig | None = None, *,
     """Directional Chamfer distance between two world-frame sets.
 
     `workspace` may be one built for these set sizes under any metric; only
-    its match buffers are used.
+    its match buffers are used. One built for other sizes is refused with
+    ValidationError.
     """
     _, _, fwd_vals, bwd_vals = _matches(x, xp, cfg or MetricConfig(), workspace)
     return float(fwd_vals.mean() + bwd_vals.mean())

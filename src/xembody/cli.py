@@ -30,9 +30,9 @@ from .errors import ValidationError, XembodyError
 from .fields import Fields
 from .funcrep import (FunctionalTemplate, _subseed, build_template, eval_template,
                       template_trajectory)
+from .native import load_kernels
 from .robot import Embodiment, load_embodiment
-from .synth import (Demonstration, SynthConfig, in_box, load_fps_kernel,
-                    synthesize_demonstration)
+from .synth import Demonstration, SynthConfig, in_box, synthesize_demonstration
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -272,8 +272,8 @@ def _run(command: str, args: argparse.Namespace, transforms, **augment) -> int:
     started = time.perf_counter()
     manifest = load_run_manifest(args)
     # Built before any demo is read, so a missing compiler fails the run once;
-    # forked workers inherit the loaded kernel.
-    load_fps_kernel()
+    # forked workers inherit the loaded kernels.
+    load_kernels()
     source = load_embodiment(manifest.source_description, manifest.source_manifest)
     target = load_embodiment(manifest.target_description, manifest.target_manifest)
     template_seed = manifest.template_seed

@@ -10,19 +10,18 @@ randomness derives from hash(global seed, demo id, frame).
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .align import AlignedTrajectory
-from .errors import KernelBuildError, ValidationError
+from .errors import ValidationError
 from .funcrep import _subseed
 from .kinematics import forward_kinematics
 from .mesh import sample_triangles
+from .native import load_kernels
 from .robot import Embodiment
 
 TAG_SCENE = 0
@@ -34,83 +33,9 @@ TAG_ROBOT = 1
 _MASK_BLOCK = 1 << 12
 
 
-# Greedy farthest-point sampling over m (x, y, z) rows. The squared distance is
-# summed as (dx² + dz²) + dy², the order np.einsum("mk,mk->m") uses on (M, 3)
-# rows, and the strict `>` keeps the lowest index of a tied maximum, as
-# np.argmax does: the picks match tests/test_synth.py::_fps_indices_reference
-# bit for bit. That needs `-ffp-contract=off` (an FMA rounds differently) and
-# rules out -ffast-math.
-_FPS_SOURCE = r"""
-#include <math.h>
-#include <stdint.h>
-
-void xembody_fps(const double *p, int64_t m, int64_t n, int64_t start,
-                 double *dist, int64_t *selected)
-{
-    int64_t pick = start;
-    selected[0] = pick;
-    for (int64_t i = 0; i < m; ++i)
-        dist[i] = INFINITY;
-    for (int64_t k = 1; k < n; ++k) {
-        const double px = p[3 * pick], py = p[3 * pick + 1], pz = p[3 * pick + 2];
-        double best = -1.0;
-        int64_t arg = 0;
-        for (int64_t i = 0; i < m; ++i) {
-            const double dx = p[3 * i] - px, dy = p[3 * i + 1] - py, dz = p[3 * i + 2] - pz;
-            const double d = (dx * dx + dz * dz) + dy * dy;
-            const double v = d < dist[i] ? d : dist[i];
-            dist[i] = v;
-            if (v > best) {
-                best = v;
-                arg = i;
-            }
-        }
-        selected[k] = pick = arg;
-    }
-}
-"""
-_COMPILER = "cc"
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-
-
-@functools.cache
-def load_fps_kernel():
-    """Compile and load the FPS kernel, once per process.
-
-    The shared library is built in a private temporary directory that is
-    removed once the library is loaded, so nothing is cached on disk. Raises
-    KernelBuildError, naming the compiler, when it cannot be built or loaded.
-    """
-    import ctypes
-    import subprocess
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="xembody-fps-") as tmp:
-        source, library = os.path.join(tmp, "fps.c"), os.path.join(tmp, "fps.so")
-        with open(source, "w") as f:
-            f.write(_FPS_SOURCE)
-        command = [_COMPILER, *_CFLAGS, "-o", library, source]
-        try:
-            built = subprocess.run(command, capture_output=True, text=True)
-        except OSError as err:
-            raise KernelBuildError(f"cannot build the FPS kernel: compiler {_COMPILER!r} "
-                                   f"did not start: {err}") from err
-        if built.returncode != 0:
-            raise KernelBuildError(f"cannot build the FPS kernel: compiler {_COMPILER!r} "
-                                   f"exited {built.returncode}: {built.stderr.strip()}")
-        try:
-            kernel = ctypes.CDLL(library).xembody_fps
-        except OSError as err:
-            raise KernelBuildError(f"cannot load the FPS kernel built by {_COMPILER!r}: "
-                                   f"{err}") from err
-    kernel.restype = None
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_void_p)
-    return kernel
-
-
 def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
-    """Greedy farthest-point selection of `n` of the (M, 3) rows, seeded at `start`."""
+    """Greedy farthest-point selection of `n` of the (M, 3) rows, seeded at
+    `start`, in one call of the compiled `xembody_fps` (`native.py`)."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     m = len(points)
     if points.shape != (m, 3):
@@ -121,8 +46,8 @@ def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
         raise ValidationError(f"start index {start} out of range for {m} points")
     dist = np.empty(m)
     selected = np.empty(n, dtype=np.int64)
-    load_fps_kernel()(points.ctypes.data, m, int(n), int(start), dist.ctypes.data,
-                      selected.ctypes.data)
+    load_kernels().fps(points.ctypes.data, m, int(n), int(start), dist.ctypes.data,
+                       selected.ctypes.data)
     return selected
 
 
@@ -274,8 +199,8 @@ def _surface_distance(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     points of the triangle and the nearest is taken, so zero-area and
     collinear faces, whose projection is ill-conditioned, fall to their
     edges. Vectors are stacked by axis, (3, rows, faces), dot products are
-    summed axis by axis as in `_pair_costs`, and at most _MASK_BLOCK
-    point-face pairs are evaluated at a time.
+    summed axis by axis, and at most _MASK_BLOCK point-face pairs are
+    evaluated at a time.
     """
     a, b, c = (np.ascontiguousarray(triangles[:, k].T) for k in range(3))  # (3, F) each
     ab, ac, bc = b - a, c - a, c - b

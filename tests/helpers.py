@@ -266,6 +266,36 @@ def random_funcrep(rng: np.random.Generator, n: int, scale: float = 1.0) -> Worl
     return WorldFuncRep(points, dirs)
 
 
+def pair_costs(points_a, dirs_a, points_b, dirs_b, cfg) -> np.ndarray:
+    """(N, M) DCD pair costs smooth(|p_a - p_b|) - lam * <n_a, n_b>, one
+    (N, M) numpy pass per axis: the reference for the compiled match kernel.
+
+    Each sum over the three axes runs as (x + z) + y. That order reproduces
+    np.einsum("nmk,nmk->nm") for the squared distance and np.einsum("nk,mk->nm")
+    for the dot product bit for bit (tests/test_chamfer.py); (x + y) + z does
+    not. Negated differences square to the same value and products commute,
+    so the matrix for (b, a) is exactly the transpose of the one for (a, b).
+    """
+    sq = np.subtract(points_a[:, 0, None], points_b[:, 0])
+    sq *= sq
+    for k in (2, 1):
+        d = np.subtract(points_a[:, k, None], points_b[:, k])
+        sq += d * d
+    cost = np.sqrt(sq, out=sq)
+    if cfg.epsilon != 0.0:
+        cost *= cost
+        cost += cfg.epsilon * cfg.epsilon
+        np.sqrt(cost, out=cost)
+        cost -= cfg.epsilon
+    if cfg.lam != 0.0:
+        dot = np.multiply(dirs_a[:, 0, None], dirs_b[:, 0])
+        for k in (2, 1):
+            dot += np.multiply(dirs_a[:, k, None], dirs_b[:, k])
+        dot *= cfg.lam
+        cost = cost - dot
+    return cost
+
+
 def table_scene(rng: np.random.Generator, n_table: int = 700, n_object: int = 160) -> PointCloud:
     """A flat table patch plus a small object cluster near the grasp region."""
     table = np.column_stack([

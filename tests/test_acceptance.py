@@ -20,7 +20,7 @@ from xembody import (AlignmentConfig, LinkSpec, MetricConfig, align_frame, box_m
                      template_trajectory, write_dataset)
 from xembody.align import minimize_with_patience
 from xembody.augment import SpatialTransform, augment_rep_trajectory
-from xembody.chamfer import _DcdWorkspace, _pair_costs, dcd_value_and_cotangent
+from xembody.chamfer import _DcdWorkspace, dcd_value_and_cotangent
 from xembody.cli import main
 from xembody.dataset import read_demonstration, read_index
 from xembody.funcrep import WorldFuncRep
@@ -128,8 +128,7 @@ def _align_loss_and_grad(e, template, x_t, metric):
 
 def _argmin_margin(x, xq, metric):
     """Gap between the best and second-best combined cost over rows and columns."""
-    cost = _pair_costs(x.points, x.directions, xq.points, xq.directions, metric,
-                       out=np.empty((3, len(x), len(xq))))
+    cost = helpers.pair_costs(x.points, x.directions, xq.points, xq.directions, metric)
     rows = np.sort(cost, axis=1)
     cols = np.sort(cost, axis=0)
     row_gap = np.min(rows[:, 1] - rows[:, 0]) if cost.shape[1] > 1 else np.inf

@@ -1,7 +1,6 @@
 import dataclasses
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +13,7 @@ from xembody import (AlignmentConfig, AlignmentError, MetricConfig, ValidationEr
                      align_frame, align_trajectory, build_template, dcd, eis_initialize,
                      eval_template, functional_similarity, joint_limit_penalty,
                      template_trajectory)
-from xembody import chamfer
 from xembody.align import _dcd_lower_bounds, minimize_with_patience
-from xembody.chamfer import _pair_costs
 from xembody.funcrep import FuncRepTrajectory, FunctionalTemplate, WorldFuncRep
 from xembody.kinematics import _chain, _fk_frames, _resolve_link_indices, evaluate_world_set
 from xembody.robot import EmbodimentManifest, JointSpec, LinkSpec, build_embodiment
@@ -77,7 +74,8 @@ def test_step_cap_without_early_stop():
 def test_nonfinite_loss_names_frame(gripper1):
     template = build_template(gripper1, gripper1.pad_links, 4, seed=0)
     bad = WorldFuncRep(np.full((2, 3), 1e308), np.tile([0.0, 0.0, 1.0], (2, 1)))
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(AlignmentError, match="frame 3"):
             align_frame(gripper1, template, bad, np.zeros(1), AlignmentConfig(), frame_index=3)
 
@@ -446,8 +444,7 @@ def _value_and_grad_reference(target, template, x_t, cfg):
         r = rot[link_indices]
         points = np.einsum("...nij,nj->...ni", r, template.points) + trans[link_indices]
         dirs = np.einsum("...nij,nj->...ni", r, template.normals)
-        cost = _pair_costs(x_t.points, x_t.directions, points, dirs, metric,
-                           out=np.empty((3, len(x_t), len(points))))
+        cost = helpers.pair_costs(x_t.points, x_t.directions, points, dirs, metric)
         fwd, bwd = np.argmin(cost, axis=1), np.argmin(cost, axis=0)
         n, m = cost.shape
         value = float(cost[np.arange(n), fwd].mean() + cost[bwd, np.arange(m)].mean())
@@ -511,9 +508,7 @@ def _diagnostic_tuples(aligned):
 def step_cases(draw):
     """A random chain with revolute, prismatic and fixed joints (optionally a
     fixed-joint prefix), pads in any order (possibly one with no actuated
-    ancestor), a source set, a metric with lam and epsilon possibly 0, and
-    possibly cost blocks of fewer rows than the source set (which take no
-    coordinate tiles)."""
+    ancestor), a source set, and a metric with lam and epsilon possibly 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_joints = draw(st.integers(1, 5))
     prefix = draw(st.integers(0, 2))
@@ -547,17 +542,15 @@ def step_cases(draw):
     metric = MetricConfig(draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([0.0, 1e-9])))
     cfg = AlignmentConfig(metric=metric, w1=draw(st.sampled_from([1.0, 0.7])),
                           w2=draw(st.sampled_from([1.0, 3.0])))
-    block_rows = draw(st.sampled_from([chamfer.BLOCK_ROWS, 3]))
     qs = rng.uniform(e.lower_limits - 0.2, e.upper_limits + 0.2, size=(4, e.dof))
-    return e, template, x_t, cfg, block_rows, qs
+    return e, template, x_t, cfg, qs
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=step_cases())
 def test_workspace_step_equals_reference(case):
-    e, template, x_t, cfg, block_rows, qs = case
-    with mock.patch.object(chamfer, "BLOCK_ROWS", block_rows):
-        workspace = align._AlignmentWorkspace(e, template, len(x_t), cfg)
+    e, template, x_t, cfg, qs = case
+    workspace = align._AlignmentWorkspace(e, template, len(x_t), cfg)
     reference = _value_and_grad_reference(e, template, x_t, cfg)
     # Two source sets in turn: the per-source constants must follow the frame.
     other = WorldFuncRep(x_t.points[::-1] + 0.01, x_t.directions[::-1])

@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from xembody import MetricConfig, ValidationError, chamfer, dcd, functional_similarity
-from xembody.chamfer import (_DcdWorkspace, _matches, _pair_costs, _smooth_norm,
-                             dcd_value_and_cotangent)
+from xembody import MetricConfig, ValidationError, dcd, functional_similarity
+from xembody.chamfer import _DcdWorkspace, _matches, _smooth_norm, dcd_value_and_cotangent
 from xembody.funcrep import WorldFuncRep
+from xembody.native import load_kernels
 
 
 def pair(point, direction):
@@ -120,8 +119,7 @@ def test_empty_set_is_an_error():
 
 def full_matrix_matches(x, xp, cfg):
     """Row and column argmins of one full cost matrix, ties to the lowest index."""
-    cost = _pair_costs(x.points, x.directions, xp.points, xp.directions, cfg,
-                       out=np.empty((3, len(x), len(xp))))
+    cost = helpers.pair_costs(x.points, x.directions, xp.points, xp.directions, cfg)
     fwd, bwd = np.argmin(cost, axis=1), np.argmin(cost, axis=0)
     return fwd, bwd, cost[np.arange(len(x)), fwd], cost[bwd, np.arange(len(xp))]
 
@@ -132,20 +130,19 @@ def assert_same_matches(got, want):
 
 
 def test_bruteforce_and_accelerated_agree_bitwise(rng):
-    # 600 rows run as three blocks of BLOCK_ROWS against the full matrix.
     x = helpers.random_funcrep(rng, 600, scale=0.3)
     xp = helpers.random_funcrep(rng, 550, scale=0.3)
-    assert len(x) > chamfer.BLOCK_ROWS
     for cfg in (MetricConfig(0.5, 0.0), MetricConfig(0.0, 0.0), MetricConfig(0.5, 1e-9)):
         assert_same_matches(_matches(x, xp, cfg), full_matrix_matches(x, xp, cfg))
 
 
 @st.composite
-def blocked_match_cases(draw):
-    """Two sets, a metric and a block height of 1 row, exactly N rows or more.
-    Tie-heavy sets round coordinates to 0.01 and directions to a few values."""
+def match_cases(draw):
+    """Two sets and a metric. Tie-heavy sets round coordinates to 0.01 and
+    directions to a few values; some sets hold rows with inf or NaN."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tied = draw(st.booleans())
+    nonfinite = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
     n, m = draw(st.integers(1, 60)), draw(st.integers(1, 60))
 
     def cloud(size):
@@ -154,20 +151,27 @@ def blocked_match_cases(draw):
         if tied:
             points = np.round(points, 2)
             dirs = np.round(dirs)
+        if nonfinite is not None:
+            rows = rng.random(size) < 0.2
+            if rng.random() < 0.5:
+                points[rows, rng.integers(0, 3)] = nonfinite
+            else:
+                dirs[rows, rng.integers(0, 3)] = nonfinite
         return WorldFuncRep(points, dirs)
 
-    rows = draw(st.sampled_from([1, n, n + draw(st.integers(1, 5))]))
-    cfg = MetricConfig(draw(st.sampled_from([0.0, 0.5])), draw(st.sampled_from([0.0, 1e-9])))
-    return cloud(n), cloud(m), cfg, rows
+    cfg = MetricConfig(draw(st.sampled_from([0.0, 0.5, 2.0])),
+                       draw(st.sampled_from([0.0, 1e-9, 1e-3])))
+    return cloud(n), cloud(m), cfg
 
 
-@settings(max_examples=120, deadline=None)
-@given(case=blocked_match_cases())
-def test_blocked_matches_equal_full_matrix_argmins(case):
-    x, xp, cfg, rows = case
-    with mock.patch.object(chamfer, "BLOCK_ROWS", rows):
-        got = _matches(x, xp, cfg)
-    assert_same_matches(got, full_matrix_matches(x, xp, cfg))
+@settings(max_examples=150, deadline=None)
+@given(case=match_cases())
+def test_matches_equal_full_matrix_argmins(case):
+    x, xp, cfg = case
+    got = _matches(x, xp, cfg)
+    with np.errstate(invalid="ignore"):
+        want = full_matrix_matches(x, xp, cfg)
+    assert_same_matches(got, want)
 
 
 def test_blocked_matches_keep_the_first_nan_like_argmin():
@@ -176,29 +180,71 @@ def test_blocked_matches_keep_the_first_nan_like_argmin():
                      np.array([[0, 0, 1.0], [0, 0, 1.0], [0, 0, 1.0]]))
     xp = WorldFuncRep(np.array([[np.inf, 0, 0]]), np.array([[0, 0, 1.0]]))
     cfg = MetricConfig(0.5, 0.0)
-    with np.errstate(invalid="ignore"), mock.patch.object(chamfer, "BLOCK_ROWS", 1):
-        got = _matches(x, xp, cfg)
+    got = _matches(x, xp, cfg)
+    with np.errstate(invalid="ignore"):
         want = full_matrix_matches(x, xp, cfg)
     assert want[1][0] == 2 and np.isnan(want[3][0])
     assert_same_matches(got, want)
 
 
-def test_one_shot_dcd_memory_is_its_cost_planes(rng):
-    # 256 rows x 1024 columns is one block: three 2 MiB cost planes. A
-    # transposed copy for the column argmins would add a fourth.
+def test_one_shot_dcd_memory_is_linear(rng):
+    # The match buffers and one row of costs: 256 x 1024 takes about 28 KiB,
+    # where a cost plane alone would take 2 MiB. The kernels load beforehand,
+    # once per process.
     x = helpers.random_funcrep(rng, 256, scale=0.1)
     xp = helpers.random_funcrep(rng, 1024, scale=0.1)
+    load_kernels()
     tracemalloc.start()
     try:
         dcd(x, xp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 2**20
+    assert peak <= 64 * 2**10
+
+
+def test_workspace_of_other_sizes_is_refused(rng):
+    x, xp = helpers.random_funcrep(rng, 5), helpers.random_funcrep(rng, 7)
+    cfg = MetricConfig(0.5, 0.0)
+    for n, m in ((4, 7), (6, 7), (5, 6), (5, 8), (7, 5)):
+        with pytest.raises(ValidationError, match="DCD workspace"):
+            _matches(x, xp, cfg, _DcdWorkspace(n, m, cfg))
+        with pytest.raises(ValidationError, match="DCD workspace"):
+            dcd(x, xp, cfg, workspace=_DcdWorkspace(n, m, cfg))
+    # A workspace that served these sets refuses others of other sizes.
+    workspace = _DcdWorkspace(5, 7, cfg)
+    dcd(x, xp, cfg, workspace=workspace)
+    with pytest.raises(ValidationError, match="7 target rows got a set of 5"):
+        dcd(x, x, cfg, workspace=workspace)
+
+
+def test_rows_of_any_layout_give_the_reference_matches(rng):
+    cfg = MetricConfig(0.5, 1e-9)
+    big = helpers.random_funcrep(rng, 24, scale=0.1)
+    xp = helpers.random_funcrep(rng, 9, scale=0.1)
+    layouts = {
+        "strided": WorldFuncRep(big.points[::2], big.directions[::2]),
+        "fortran": WorldFuncRep(np.asfortranarray(big.points[:12]),
+                                np.asfortranarray(big.directions[:12])),
+        "float32": WorldFuncRep(big.points[:12].astype(np.float32),
+                                big.directions[:12].astype(np.float32)),
+        "columns": WorldFuncRep(big.points[:12, ::-1], big.directions[:12, ::-1]),
+    }
+    workspace = _DcdWorkspace(12, 9, cfg)
+    for x in layouts.values():
+        want = full_matrix_matches(x, xp, cfg)
+        assert_same_matches(_matches(x, xp, cfg), want)
+        assert_same_matches(_matches(x, xp, cfg, workspace), want)
+        assert_same_matches(_matches(xp, x, cfg), full_matrix_matches(xp, x, cfg))
+    # A strided set is copied afresh on every call, so a change in place shows.
+    x = layouts["strided"]
+    _matches(x, xp, cfg, workspace)
+    x.points[:] = x.points[::-1]
+    assert_same_matches(_matches(x, xp, cfg, workspace), full_matrix_matches(x, xp, cfg))
 
 
 def _pair_costs_reference(points_a, dirs_a, points_b, dirs_b, cfg):
-    """The einsum kernel `_pair_costs` replaced; it must give the same bits."""
+    """The einsum form of `helpers.pair_costs`; it must give the same bits."""
     diff = points_a[:, None, :] - points_b[None, :, :]
     dist = np.sqrt(np.einsum("nmk,nmk->nm", diff, diff))
     cost = _smooth_norm(dist, cfg.epsilon)
@@ -245,15 +291,9 @@ LAST_BIT_PAIRS = (np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.3]]),
 @example(case=LAST_BIT_PAIRS)
 def test_pair_costs_match_einsum_reference(case):
     points_a, dirs_a, points_b, dirs_b, cfg = case
-    n, m = len(points_a), len(points_b)
-    cost = _pair_costs(points_a, dirs_a, points_b, dirs_b, cfg, out=np.empty((3, n, m)))
+    cost = helpers.pair_costs(points_a, dirs_a, points_b, dirs_b, cfg)
     assert np.array_equal(cost, _pair_costs_reference(points_a, dirs_a, points_b, dirs_b, cfg))
-    assert np.array_equal(_pair_costs(points_b, dirs_b, points_a, dirs_a, cfg,
-                                      out=np.empty((3, m, n))), cost.T)
-    # A's coordinates repeated along each row, as a workspace keeps them.
-    tiles = np.repeat(np.concatenate([points_a, dirs_a], axis=1).T[:, :, None], m, axis=2)
-    assert np.array_equal(_pair_costs(points_a, dirs_a, points_b, dirs_b, cfg,
-                                      out=np.empty((3, n, m)), tiles=tiles), cost)
+    assert np.array_equal(helpers.pair_costs(points_b, dirs_b, points_a, dirs_a, cfg), cost.T)
 
 
 def test_cotangent_identical_sets_smoothed(rng):

@@ -11,7 +11,7 @@ import pytest
 import helpers
 import xembody
 from xembody import AlignmentConfig, SynthConfig, serialize_embodiment, write_dataset
-from xembody import cli, synth
+from xembody import cli, native
 from xembody.cli import EIS_SAMPLES, MANIFEST_KEYS, RunManifest, main
 from xembody.dataset import INDEX_FORMAT, read_demonstration, read_index
 from xembody.synth import derive_frame_seed
@@ -614,18 +614,38 @@ def test_malformed_run_flags_exit_2_before_any_output(tmp_path, robot_files, sou
 
 def test_missing_compiler_exits_2_before_any_output(tmp_path, robot_files, source_dataset,
                                                     monkeypatch, capsys):
-    monkeypatch.setattr(synth, "_COMPILER", "xembody-missing-cc")
-    synth.load_fps_kernel.cache_clear()
+    monkeypatch.setattr(native, "_COMPILER", "xembody-missing-cc")
+    native.load_kernels.cache_clear()
     src, tgt = robot_files
     out = tmp_path / "out"
     try:
         code = main(retarget_args(src, tgt, source_dataset, out))
     finally:
-        synth.load_fps_kernel.cache_clear()
+        native.load_kernels.cache_clear()
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "xembody-missing-cc" in err[0]
     assert not out.exists() and not Path(str(out) + ".report.json").exists()
+
+
+def test_inspect_with_missing_compiler_exits_2(tmp_path, robot_files, source_dataset,
+                                               monkeypatch, capsys):
+    # inspect first needs the kernels when it matches the two sets.
+    src, _ = robot_files
+    demo = str(source_dataset / "demo0")
+    obj_path = tmp_path / "frame.obj"
+    monkeypatch.setattr(native, "_COMPILER", "xembody-missing-cc")
+    native.load_kernels.cache_clear()
+    try:
+        code = main(["inspect", "--demo", demo, "--frame", "0", "--out", str(obj_path),
+                     "--embodiment", str(src), "--paired-demo", demo,
+                     "--paired-embodiment", str(src), "--points-per-link", "4"])
+    finally:
+        native.load_kernels.cache_clear()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "xembody-missing-cc" in err[0]
+    assert not obj_path.exists()
 
 
 # -- robot descriptions ------------------------------------------------------

@@ -14,7 +14,7 @@ from xembody import (AlignedTrajectory, Demonstration, EmbodimentManifest, Joint
                      crop_workspace, fps_downsample,
                      generate_actions, mask_robot_points, sample_robot_cloud, sample_surface,
                      synthesize_demonstration, synthesize_observation, template_trajectory)
-from xembody import synth
+from xembody import native
 from xembody.align import FrameDiagnostics
 from xembody.transforms import rotation_about_axis
 from xembody.synth import TAG_ROBOT, TAG_SCENE, _fps_indices, derive_frame_seed
@@ -464,15 +464,15 @@ def test_fps_kernel_overflow_ties_go_to_the_lowest_index():
 
 @pytest.fixture()
 def fresh_kernel():
-    """Drop the process's loaded kernel so the test builds its own; the next
-    caller rebuilds it."""
-    synth.load_fps_kernel.cache_clear()
+    """Drop the process's loaded kernels so the test builds its own; the next
+    caller rebuilds them."""
+    native.load_kernels.cache_clear()
     yield
-    synth.load_fps_kernel.cache_clear()
+    native.load_kernels.cache_clear()
 
 
 def test_fps_kernel_build_failure_names_the_compiler(monkeypatch, fresh_kernel):
-    monkeypatch.setattr(synth, "_COMPILER", "xembody-missing-cc")
+    monkeypatch.setattr(native, "_COMPILER", "xembody-missing-cc")
     with pytest.raises(KernelBuildError, match="xembody-missing-cc"):
         fps_downsample(PointCloud(np.arange(30.0).reshape(10, 3)), 4)
 
@@ -487,7 +487,7 @@ def test_fps_kernel_build_leaves_no_files(monkeypatch, tmp_path, fresh_kernel):
     real_mkdtemp = tempfile.mkdtemp
     monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    synth.load_fps_kernel()
+    native.load_kernels()
     assert len(made) == 1 and os.path.dirname(made[0]) == str(tmp_path)
     assert list(tmp_path.iterdir()) == []
     pts = _rows[:, :3]
