@@ -71,10 +71,17 @@ class _DcdWorkspace:
             raise ValidationError("directional Chamfer distance needs non-empty sets")
         self.n, self.m, self.cfg = n, m, cfg
         self.kernel = load_kernels().dcd_matches
-        self.matches = (np.empty(n, dtype=np.int64), np.empty(m, dtype=np.int64),
-                        np.empty(n), np.empty(m))
-        self.row = np.empty(m)  # the costs of one source row
-        self.outputs = tuple(a.ctypes.data for a in (self.row, *self.matches))
+        # One block holds every match buffer: fwd and bwd (int64), fwd_vals,
+        # bwd_vals and the costs of one source row. Its address is taken once:
+        # a `ctypes.data` lookup costs about 1.2 us, and a reused workspace's
+        # whole match at 32 x 48 rows about 6.5 us.
+        block = np.empty(2 * n + 3 * m)
+        indices = block[:n + m].view(np.int64)
+        self.matches = (indices[:n], indices[n:], block[n + m:2 * n + m],
+                        block[2 * n + m:2 * n + 2 * m])
+        base = block.ctypes.data
+        self.outputs = (base + 8 * (2 * n + 2 * m), base, base + 8 * n, base + 8 * (n + m),
+                        base + 8 * (2 * n + m))
         self.sets = [None, None]  # the source and target sets the addresses are of
         self.rows = [None, None]  # their (points, directions), kept alive for the kernel
         self.addresses = [0, 0, 0, 0]

@@ -33,9 +33,14 @@ TAG_ROBOT = 1
 _MASK_BLOCK = 1 << 12
 
 
-def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
+def _fps(points: np.ndarray, n: int, start: int):
     """Greedy farthest-point selection of `n` of the (M, 3) rows, seeded at
-    `start`, in one call of the compiled `xembody_fps` (`native.py`)."""
+    `start`, in one call of the compiled `xembody_fps` (`native.py`).
+
+    Returns the picks in selection order, each row's final squared distance to
+    the nearest pick before the last, and the number of per-row distance
+    updates the kernel made.
+    """
     points = np.ascontiguousarray(points, dtype=np.float64)
     m = len(points)
     if points.shape != (m, 3):
@@ -44,11 +49,16 @@ def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
         raise ValidationError(f"cannot pick {n} of {m} points")
     if not 0 <= start < m:
         raise ValidationError(f"start index {start} out of range for {m} points")
-    dist = np.empty(m)
-    selected = np.empty(n, dtype=np.int64)
-    load_kernels().fps(points.ctypes.data, m, int(n), int(start), dist.ctypes.data,
-                       selected.ctypes.data)
-    return selected
+    reals = np.empty(6 * m + 7)
+    ints = np.empty(n + 3 * m + 2, dtype=np.int64)
+    load_kernels().fps(points.ctypes.data, m, int(n), int(start), reals.ctypes.data,
+                       ints.ctypes.data)
+    return ints[:n], reals[:m], int(ints[n])
+
+
+def _fps_indices(points: np.ndarray, n: int, start: int) -> np.ndarray:
+    """The picks of `_fps`."""
+    return _fps(points, n, start)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import functools
 import os
 import tempfile
 import tracemalloc
@@ -17,7 +18,7 @@ from xembody import (AlignedTrajectory, Demonstration, EmbodimentManifest, Joint
 from xembody import native
 from xembody.align import FrameDiagnostics
 from xembody.transforms import rotation_about_axis
-from xembody.synth import TAG_ROBOT, TAG_SCENE, _fps_indices, derive_frame_seed
+from xembody.synth import TAG_ROBOT, TAG_SCENE, _fps, _fps_indices, derive_frame_seed
 
 
 def make_aligned(configs):
@@ -353,13 +354,14 @@ def _fps_indices_reference(points, n, start):
     """The einsum loop `_fps_indices` replaced; it must pick the same indices."""
     selected = np.empty(n, dtype=np.int64)
     selected[0] = start
-    diff = points - points[start]
-    dist = np.einsum("mk,mk->m", diff, diff)
-    for k in range(1, n):
-        pick = int(np.argmax(dist))  # first occurrence = lowest index on ties
-        selected[k] = pick
-        diff = points - points[pick]
-        np.minimum(dist, np.einsum("mk,mk->m", diff, diff), out=dist)
+    with np.errstate(over="ignore"):  # offsets of +-1e308 rows overflow to inf
+        diff = points - points[start]
+        dist = np.einsum("mk,mk->m", diff, diff)
+        for k in range(1, n):
+            pick = int(np.argmax(dist))  # first occurrence = lowest index on ties
+            selected[k] = pick
+            diff = points - points[pick]
+            np.minimum(dist, np.einsum("mk,mk->m", diff, diff), out=dist)
     return selected
 
 
@@ -447,6 +449,23 @@ FPS_EDGE_CASES = {
     "strided-columns": (_rows[:, ::2], 40, 1),
     "fortran-order": (np.asfortranarray(_rows[:, 3:]), 60, 0),
     "float32": (_rows[:, :3].astype(np.float32), 45, 9),
+    # Clouds that bin into a grid of cells (the kernel aims at 32 rows a cell).
+    "one-cell": (np.random.default_rng(5).normal(size=(63, 3)), 40, 62),
+    "empty-cells": (np.vstack([np.random.default_rng(6).normal(size=(99, 3)) * 1e-3,
+                               [[5.0, 5.0, 5.0]]]), 60, 0),
+    "one-point-per-cell": (np.repeat(np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1)
+                                     .reshape(-1, 3), 32, axis=0), 200, 17),
+    "flat-z": (np.column_stack([np.random.default_rng(7).uniform(-0.2, 0.2, (300, 2)),
+                                np.full(300, -0.05)]), 150, 3),
+    "flat-all": (np.full((200, 3), 0.25), 120, 199),
+    # Extents overflow to inf: one cell on that axis, and many distances are inf.
+    "overflow-extent": (np.column_stack([np.random.default_rng(8).choice([-1e308, 1e308], 120),
+                                         np.random.default_rng(9).normal(size=(120, 2))]),
+                        90, 5),
+    "n-equals-m": (np.random.default_rng(10).normal(size=(100, 3)), 100, 42),
+    # An extent of a few subnormals: cells per unit length overflow to inf,
+    # and every squared distance underflows to 0.
+    "subnormal-extent": (np.column_stack([np.arange(200) * 5e-324, np.zeros((200, 2))]), 50, 7),
 }
 
 
@@ -460,6 +479,76 @@ def test_fps_kernel_edges_match_einsum_reference(case):
 def test_fps_kernel_overflow_ties_go_to_the_lowest_index():
     pts, n, start = FPS_EDGE_CASES["overflow-to-inf"]
     assert _fps_indices(pts, n, start).tolist() == [2, 0, 1, 3, 4]
+
+
+def _final_dist_reference(points, picks):
+    """Each row's squared distance to the nearest pick but the last, by the
+    reference's einsum; inf when there is one pick."""
+    dist = np.full(len(points), np.inf)
+    for pick in picks[:-1]:
+        diff = points - points[pick]
+        np.minimum(dist, np.einsum("mk,mk->m", diff, diff), out=dist)
+    return dist
+
+
+@st.composite
+def pipeline_clouds(draw):
+    """Clouds shaped like a synthesized frame's union: a table slab of zero
+    z-extent, a clustered object, dense samples of the posed hand6 link
+    surfaces and duplicated rows, in float64 or float32-rounded coordinates."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table, obj, robot, dup = (int(rng.integers(0, size + 1)) * draw(st.booleans())
+                              for size in (800, 200, 1100, 100))
+    parts = [
+        np.column_stack([rng.uniform(-0.2, 0.2, (table, 2)), np.full(table, -0.05)]),
+        rng.uniform([-0.01, -0.029, -0.012], [0.01, -0.025, 0.012], (obj, 3)),
+    ]
+    if robot:
+        hand = _hand6()
+        q = rng.uniform(hand.lower_limits, hand.upper_limits)
+        parts.append(sample_robot_cloud(hand, q, robot, int(rng.integers(2**31))).points)
+    pts = np.vstack(parts)
+    if len(pts) == 0:
+        pts = rng.normal(size=(1, 3))
+    if dup:
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), dup)]])
+    pts = rng.permutation(pts)
+    if draw(st.booleans()):
+        pts = pts.astype(np.float32).astype(np.float64)
+    m = len(pts)
+    n = draw(st.sampled_from([1, m, int(rng.integers(1, min(m, 1024) + 1))]))
+    return pts, n, int(rng.integers(0, m))
+
+
+@functools.cache
+def _hand6():
+    return helpers.build_hand6()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=pipeline_clouds())
+def test_fps_on_pipeline_clouds_matches_einsum_reference(case):
+    pts, n, start = case
+    picks, dist, updates = _fps(pts, n, start)
+    assert np.array_equal(picks, _fps_indices_reference(pts, n, start))
+    assert np.array_equal(dist, _final_dist_reference(pts, picks))
+    assert 0 <= updates <= (n - 1) * len(pts)
+
+
+def test_fps_pruning_skips_most_updates_on_a_frame(hand6):
+    # A retarget-shaped frame: a table scene and the hand's samples, 1,724 rows
+    # down to 1,024. Without pruning every pick would update every row.
+    rng = np.random.default_rng(12)
+    scene = helpers.table_scene(rng)
+    robot = sample_robot_cloud(hand6, hand6.mid_range_configuration(), 1724 - len(scene), 3)
+    pts = np.vstack([scene.points, robot.points])
+    picks, _, updates = _fps(pts, 1024, 100)
+    assert np.array_equal(picks, _fps_indices_reference(pts, 1024, 100))
+    assert updates < 0.5 * 1023 * 1724
+    # A cloud too small for a second cell runs the plain loop: distinct rows
+    # keep a positive distance until picked, so every pick updates every row.
+    pts = rng.normal(size=(63, 3))
+    assert _fps(pts, 40, 0)[2] == 39 * 63
 
 
 @pytest.fixture()
