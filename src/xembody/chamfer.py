@@ -15,6 +15,11 @@ the row's argmin and updates every column's running minimum. A minimum moves
 only to a strictly lower value or to the first NaN, as np.argmin does, so
 ties keep the lowest index and the matches are those of np.argmin over the
 full matrix, bit for bit. Memory is one row of costs, whatever the set sizes.
+
+Given buffers for it, the same call writes the cotangent with respect to the
+target rows: a source row's forward term is scattered once its argmin is
+final, so each target row sums them in ascending source order as
+np.bincount does, and one pass over the target rows adds the backward terms.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ class _DcdWorkspace:
     It keeps the buffer addresses the kernel takes and those of the last
     source and target sets, so a call on the same two sets as the one before
     converts no argument; a set changed in place is read afresh. The
-    cotangent's buffers are built by the first cotangent.
+    cotangent's buffers are built by the first `dcd_value_and_cotangent`.
     """
 
     def __init__(self, n: int, m: int, cfg: MetricConfig):
@@ -85,7 +90,8 @@ class _DcdWorkspace:
         self.sets = [None, None]  # the source and target sets the addresses are of
         self.rows = [None, None]  # their (points, directions), kept alive for the kernel
         self.addresses = [0, 0, 0, 0]
-        self.gradient: _Cotangent | None = None
+        self.cotangent: tuple[np.ndarray, np.ndarray] | None = None  # (d_points, d_dirs)
+        self.cotangent_at: int | None = None  # their address, taken once
 
     def bind(self, side: int, s: WorldFuncRep) -> None:
         """Take the addresses of the source (side 0) or target (side 1) set's
@@ -103,74 +109,13 @@ class _DcdWorkspace:
         self.rows[side] = rows
         self.addresses[2 * side:2 * side + 2] = (rows[0].ctypes.data, rows[1].ctypes.data)
 
-    def cotangent(self, x: WorldFuncRep, xp: WorldFuncRep, fwd: np.ndarray, bwd: np.ndarray):
-        if self.gradient is None:
-            self.gradient = _Cotangent(self.n, self.m, self.cfg)
-        return self.gradient(x, xp, fwd, bwd)
-
-
-class _Cotangent:
-    """Buffers for the DCD cotangent between a source set of `n` rows and
-    sets of `m` rows under one metric.
-
-    Per source set it keeps the direction terms (-lam/N * n and -lam/M * n).
-    A call on another source set than the previous one recomputes them, so a
-    source set must not change in place while a workspace uses it.
-    """
-
-    def __init__(self, n: int, m: int, cfg: MetricConfig):
-        self.n, self.m, self.cfg = n, m, cfg
-        self.width = 6 if cfg.lam != 0.0 else 3
-        self.lanes = np.arange(self.width)
-        self.weights = np.empty((n, self.width))  # [d smooth(|p' - p|) / N | -lam / N * n]
-        self.bins = np.empty((n, self.width), dtype=np.intp)
-        self.diffs = np.empty((n + m, 3))  # [p'[fwd] - p; p' - p[bwd]]
-        self.dir_terms = np.empty((m, 3))
-        self.backward_dirs = np.empty((n, 3))  # -lam / M * n
-        self.source: WorldFuncRep | None = None
-
-    def __call__(self, x: WorldFuncRep, xp: WorldFuncRep, fwd: np.ndarray, bwd: np.ndarray):
-        """(d_points, d_directions) of the DCD with respect to xp's rows, given
-        the matches between x and xp; both are fresh arrays."""
-        n, m, width = self.n, self.m, self.width
-        lam, eps = self.cfg.lam, self.cfg.epsilon
-        if self.source is not x and lam != 0.0:
-            np.multiply(-lam / n, x.directions, out=self.weights[:, 3:])
-            np.multiply(-lam / m, x.directions, out=self.backward_dirs)
-        self.source = x
-
-        # Both sums' smooth-norm gradients in one pass: rows are independent.
-        forward, backward = self.diffs[:n], self.diffs[n:]
-        np.take(xp.points, fwd, axis=0, out=forward)
-        forward -= x.points
-        np.take(x.points, bwd, axis=0, out=backward)
-        np.subtract(xp.points, backward, out=backward)
-        _smooth_norm_grad(self.diffs, eps, out=self.diffs)
-
-        # Forward sum: each i contributes to its matched j = fwd[i]. One bincount
-        # scatters every column at once: bin fwd[i] * width + k adds column k of
-        # row i, in ascending i from 0.0, as a per-column bincount would.
-        np.divide(forward, n, out=self.weights[:, :3])
-        bins = np.multiply(fwd[:, None], width, out=self.bins)
-        bins += self.lanes
-        sums = np.bincount(bins.reshape(-1), weights=self.weights.reshape(-1),
-                           minlength=m * width).reshape(m, width)
-        d_points = sums[:, :3]
-        d_dirs = sums[:, 3:] if lam != 0.0 else np.zeros((m, 3))
-
-        # Backward sum: each j contributes with its matched i = bwd[j].
-        backward /= m
-        d_points += backward
-        if lam != 0.0:
-            d_dirs += np.take(self.backward_dirs, bwd, axis=0, out=self.dir_terms)
-        return d_points, d_dirs
-
 
 def _matches(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig,
-             work: _DcdWorkspace | None = None):
+             work: _DcdWorkspace | None = None, cotangent: int | None = None):
     """Row and column argmins of the (N, N') cost matrix under `cfg`, in one
     call of the compiled kernel: (fwd, bwd, fwd_vals, bwd_vals), which are
-    `work`'s buffers (fresh ones without it).
+    `work`'s buffers (fresh ones without it). Given the address `cotangent`
+    of 6 N' doubles, the kernel also writes the cotangent there.
 
     Refuses a workspace built for other set sizes with ValidationError.
     """
@@ -179,7 +124,7 @@ def _matches(x: WorldFuncRep, xp: WorldFuncRep, cfg: MetricConfig,
         work.bind(0, x)
     if xp is not work.sets[1]:
         work.bind(1, xp)
-    work.kernel(*work.addresses, work.n, work.m, cfg.lam, cfg.epsilon, *work.outputs)
+    work.kernel(*work.addresses, work.n, work.m, cfg.lam, cfg.epsilon, *work.outputs, cotangent)
     return work.matches
 
 
@@ -204,20 +149,10 @@ def functional_similarity(x: WorldFuncRep, xp: WorldFuncRep,
 def dcd_value_and_cotangent(x: WorldFuncRep, xp: WorldFuncRep, workspace: _DcdWorkspace):
     """One-pass (value, d_points, d_directions) for optimizer inner loops,
     under the metric of `workspace`, which is built for these set sizes and
-    supplies every buffer; the cotangents are fresh arrays."""
-    fwd, bwd, fwd_vals, bwd_vals = _matches(x, xp, workspace.cfg, workspace)
-    d_points, d_dirs = workspace.cotangent(x, xp, fwd, bwd)
-    return float(fwd_vals.mean() + bwd_vals.mean()), d_points, d_dirs
-
-
-def _smooth_norm_grad(diff: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise gradient of smooth(|d|) w.r.t. d; zero at d = 0 (subgradient).
-
-    Written into `out` (which may be `diff`) if given.
-    """
-    denom = np.einsum("nk,nk->n", diff, diff)
-    denom += eps * eps
-    np.sqrt(denom, out=denom)
-    scale = np.zeros_like(denom)
-    np.divide(1.0, denom, out=scale, where=denom > 0.0)
-    return np.multiply(diff, scale[:, None], out=out)
+    supplies every buffer. The cotangents are the workspace's buffers, which
+    the next call overwrites."""
+    if workspace.cotangent is None:
+        block = np.empty((2, workspace.m, 3))
+        workspace.cotangent, workspace.cotangent_at = (block[0], block[1]), block.ctypes.data
+    _, _, fwd_vals, bwd_vals = _matches(x, xp, workspace.cfg, workspace, workspace.cotangent_at)
+    return float(fwd_vals.mean() + bwd_vals.mean()), *workspace.cotangent

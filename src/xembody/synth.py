@@ -39,12 +39,15 @@ def _fps(points: np.ndarray, n: int, start: int):
 
     Returns the picks in selection order, each row's final squared distance to
     the nearest pick before the last, and the number of per-row distance
-    updates the kernel made.
+    updates the kernel made. Refuses rows that are not finite: the kernel keeps
+    a row's distance where it is NaN, which `np.minimum` would propagate.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     m = len(points)
     if points.shape != (m, 3):
         raise ValidationError(f"points must be (M, 3), got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValidationError("points must be finite")
     if not 1 <= n <= m:
         raise ValidationError(f"cannot pick {n} of {m} points")
     if not 0 <= start < m:

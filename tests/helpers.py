@@ -296,6 +296,32 @@ def pair_costs(points_a, dirs_a, points_b, dirs_b, cfg) -> np.ndarray:
     return cost
 
 
+def cotangent_reference(x: WorldFuncRep, points, fwd, bwd, metric):
+    """(d_points, d_directions) of the DCD between the source set `x` and the
+    target rows (`points`, any directions) with respect to the target rows,
+    given the matches `fwd` and `bwd`: per-column bincounts, the reference for
+    the cotangent the compiled match kernel writes. A zero difference has a
+    zero subgradient."""
+    n, m = len(x), len(points)
+
+    def smooth_grad(diff):
+        denom = np.sqrt(np.einsum("nk,nk->n", diff, diff) + metric.epsilon * metric.epsilon)
+        return diff * np.where(denom > 0.0, 1.0 / denom, 0.0)[:, None]
+
+    # Rows holding inf or NaN make NaN terms, which the reference keeps.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        forward = smooth_grad(points[fwd] - x.points) / n
+        d_points = np.stack([np.bincount(fwd, forward[:, k], minlength=m) for k in range(3)], 1)
+        d_dirs = np.zeros((m, 3))
+        if metric.lam != 0.0:
+            scaled = -metric.lam / n * x.directions
+            d_dirs = np.stack([np.bincount(fwd, scaled[:, k], minlength=m) for k in range(3)], 1)
+        d_points += smooth_grad(points - x.points[bwd]) / m
+        if metric.lam != 0.0:
+            d_dirs += -metric.lam / m * x.directions[bwd]
+    return d_points, d_dirs
+
+
 def table_scene(rng: np.random.Generator, n_table: int = 700, n_object: int = 160) -> PointCloud:
     """A flat table patch plus a small object cluster near the grasp region."""
     table = np.column_stack([

@@ -411,27 +411,6 @@ def _pullback_reference(e, q, link_indices, world_points, world_dirs, d_points, 
     return grad
 
 
-def _cotangent_reference(x, points, fwd, bwd, metric):
-    """d DCD / d (points, directions) before the workspace: per-column bincounts."""
-    n, m = len(x), len(points)
-
-    def smooth_grad(diff):
-        denom = np.sqrt(np.einsum("nk,nk->n", diff, diff) + metric.epsilon * metric.epsilon)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return diff * np.where(denom > 0.0, 1.0 / denom, 0.0)[:, None]
-
-    forward = smooth_grad(points[fwd] - x.points) / n
-    d_points = np.stack([np.bincount(fwd, forward[:, k], minlength=m) for k in range(3)], 1)
-    d_dirs = np.zeros((m, 3))
-    if metric.lam != 0.0:
-        scaled = -metric.lam / n * x.directions
-        d_dirs = np.stack([np.bincount(fwd, scaled[:, k], minlength=m) for k in range(3)], 1)
-    d_points += smooth_grad(points - x.points[bwd]) / m
-    if metric.lam != 0.0:
-        d_dirs += -metric.lam / m * x.directions[bwd]
-    return d_points, d_dirs
-
-
 def _value_and_grad_reference(target, template, x_t, cfg):
     """The per-step objective before the alignment workspace, with everything
     built per call: link indices, the gathered world set, the full cost
@@ -448,7 +427,7 @@ def _value_and_grad_reference(target, template, x_t, cfg):
         fwd, bwd = np.argmin(cost, axis=1), np.argmin(cost, axis=0)
         n, m = cost.shape
         value = float(cost[np.arange(n), fwd].mean() + cost[bwd, np.arange(m)].mean())
-        d_pts, d_dirs = _cotangent_reference(x_t, points, fwd, bwd, metric)
+        d_pts, d_dirs = helpers.cotangent_reference(x_t, points, fwd, bwd, metric)
         over = np.maximum(0.0, q - target.upper_limits)
         under = np.maximum(0.0, target.lower_limits - q)
         penalty = float(np.sum(over * over) + np.sum(under * under))

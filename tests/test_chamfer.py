@@ -341,6 +341,46 @@ def test_cotangent_matches_finite_differences(seed):
     assert np.abs(got - fd).max() / max(np.abs(fd).max(), 1e-9) <= 1e-6
 
 
+@st.composite
+def cotangent_cases(draw):
+    """Two sets and a metric as `match_cases` draws them; some targets are the
+    source set itself or repeat a few of their rows."""
+    x, xp, cfg = draw(match_cases())
+    shape = draw(st.sampled_from(["drawn", "identical", "duplicates"]))
+    if shape == "identical":
+        xp = WorldFuncRep(x.points.copy(), x.directions.copy())
+    elif shape == "duplicates":
+        rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 3, len(xp))
+        xp = WorldFuncRep(xp.points[rows % len(xp)], xp.directions[rows % len(xp)])
+    return x, xp, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cotangent_cases())
+def test_kernel_cotangent_equals_reference(case):
+    x, xp, cfg = case
+    workspace = _DcdWorkspace(len(x), len(xp), cfg)
+    with np.errstate(invalid="ignore"):  # the mean of inf and -inf costs
+        _, d_points, d_dirs = dcd_value_and_cotangent(x, xp, workspace)
+    fwd, bwd, _, _ = workspace.matches
+    want = helpers.cotangent_reference(x, xp.points, fwd, bwd, cfg)
+    assert np.array_equal(d_points, want[0], equal_nan=True)
+    assert np.array_equal(d_dirs, want[1], equal_nan=True)
+
+
+def test_cotangent_follows_directions_changed_in_place(rng):
+    x, xp = helpers.random_funcrep(rng, 6), helpers.random_funcrep(rng, 9)
+    cfg = MetricConfig(0.5, 0.0)
+    workspace = _DcdWorkspace(len(x), len(xp), cfg)
+    dcd_value_and_cotangent(x, xp, workspace)
+    x.directions[:] = -x.directions[::-1]
+    _, d_points, d_dirs = dcd_value_and_cotangent(x, xp, workspace)
+    fwd, bwd, _, _ = workspace.matches
+    want = helpers.cotangent_reference(x, xp.points, fwd, bwd, cfg)
+    assert np.array_equal(d_points, want[0])
+    assert np.array_equal(d_dirs, want[1])
+
+
 def test_argmin_couples_position_and_direction():
     # The nearest point by distance alone is NOT the combined argmin here.
     x = pair([0, 0, 0], [0, 0, 1])

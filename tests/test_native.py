@@ -9,7 +9,7 @@ TESTS = Path(__file__).resolve().parent
 
 # The kernel tests whose inputs reach every branch of both kernels: FPS edge
 # clouds (one cell, empty cells, flat and overflowing extents) and pipeline
-# clouds, DCD matches with inf and NaN rows.
+# clouds, DCD matches and cotangents with inf and NaN rows.
 EDGE_TESTS = (
     "test_synth.py::test_fps_kernel_edges_match_einsum_reference",
     "test_synth.py::test_fps_kernel_overflow_ties_go_to_the_lowest_index",
@@ -18,6 +18,7 @@ EDGE_TESTS = (
     "test_chamfer.py::test_matches_equal_full_matrix_argmins",
     "test_chamfer.py::test_blocked_matches_keep_the_first_nan_like_argmin",
     "test_chamfer.py::test_rows_of_any_layout_give_the_reference_matches",
+    "test_chamfer.py::test_kernel_cotangent_equals_reference",
 )
 SANITIZE = ("-Wall", "-Wextra", "-Werror", "-fsanitize=undefined,float-cast-overflow",
             "-fno-sanitize-recover=all")

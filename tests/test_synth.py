@@ -437,6 +437,16 @@ def test_fps_indices_refuses_out_of_range_arguments(n, start):
         _fps_indices(np.zeros((10, 3)), n, start)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fps_indices_refuses_non_finite_rows(bad):
+    # With a NaN in row 4 the kernel picked [0, 4, 4, 4, 4] where the einsum
+    # reference picks [0, 4, 0, 0, 0]: such rows are refused instead.
+    pts = np.random.default_rng(11).normal(size=(10, 3))
+    pts[4, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        _fps_indices(pts, 5, 0)
+
+
 _rows = np.random.default_rng(4).normal(size=(60, 6))
 FPS_EDGE_CASES = {
     "one-point": (np.array([[0.5, -1.0, 2.0]]), 1, 0),
